@@ -180,7 +180,6 @@ class LintConfig:
         "repro.experiments",
         "repro.cli",
         "repro.analysis",
-        "repro.perf",
         "repro.faults",
         "repro.obs",
         "repro.serve.clock",

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Nine subcommands cover the library's main entry points without writing
+Ten subcommands cover the library's main entry points without writing
 Python::
 
     python -m repro generate --group VT --traces 3 --requests 200 --out traces/
@@ -9,7 +9,6 @@ Python::
     python -m repro experiment fig2 --traces 5 --requests 120
     python -m repro evaluate traces/vt_000.json --predictor learned
     python -m repro predict --frontier --csv frontier.csv
-    python -m repro bench --out BENCH.json  # deterministic perf suite
     python -m repro analyze --self          # lint the repro package
     python -m repro analyze --smoke         # verified smoke simulation
     python -m repro analyze traces/vt_000.json --strategy milp
@@ -19,6 +18,10 @@ Python::
         --summary                           # structured tracing + metrics
     python -m repro serve --port 8787       # live admission daemon
     python -m repro serve --smoke           # CI smoke pass of the daemon
+    python -m repro chaos --requests 40     # SIGKILL + journal recovery
+
+Performance is measured outside the CLI, by ``perfbench/run.py`` on the
+paper's VT/LT workloads (see ``perfbench/README.md``).
 
 All randomness is controlled by ``--seed``; outputs are plain text (and
 JSON where noted) so runs are scriptable and diffable.
@@ -34,7 +37,6 @@ from pathlib import Path
 from repro.experiments.config import HarnessScale
 from repro.experiments.executor import ParallelConfig
 from repro.registry import (
-    kernel_names,
     predictor_names,
     resolve_predictor,
     resolve_strategy,
@@ -111,13 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="prediction overhead (absolute time units)")
     run.add_argument("--lookahead", type=int, default=1)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--shards", type=int, default=1,
-                     help="split the trace at idle points and simulate "
-                     "the shards independently (bit-identical to serial)")
-    run.add_argument("--kernel", choices=kernel_names(), default=None,
-                     help="event-core kernel (default: registry default; "
-                     "'vector' falls back per-segment where its proof "
-                     "does not apply)")
     run.add_argument("--json", action="store_true",
                      help="emit the result summary as JSON")
 
@@ -177,52 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also write the frontier as CSV here")
     pred.add_argument("--json", action="store_true",
                       help="emit the frontier cells as JSON")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the deterministic performance benchmarks",
-        description=(
-            "Time the simulation core's hot paths (EDF timelines, "
-            "heuristic admission, predictor updates, the simulator "
-            "event loop, and the fig2-scale macro grid) on fixed-seed "
-            "workloads and emit a machine-readable BENCH_*.json "
-            "trajectory file.  With --baseline the speedup ratios are "
-            "embedded in the output, and --fail-threshold turns any "
-            "ratio below the bar into a nonzero exit (perf regression "
-            "gate)."
-        ),
-    )
-    bench.add_argument("--traces", type=int, default=2,
-                       help="macro grid: traces per spec")
-    bench.add_argument("--requests", type=int, default=120,
-                       help="requests per trace")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--group", choices=["VT", "LT"], default="VT")
-    bench.add_argument("--repeats", type=int, default=5,
-                       help="timed repetitions per benchmark")
-    bench.add_argument("--scenario", choices=["default", "huge"],
-                       default="default",
-                       help="'huge' swaps sim_loop for the 10^7-request "
-                       "idle-point trace through the vector kernel and "
-                       "runs only the scaling benchmarks")
-    bench.add_argument("--scenario-events", type=int, default=10_000_000,
-                       metavar="N",
-                       help="requests in the huge-scenario trace")
-    bench.add_argument("--only", nargs="+", default=None, metavar="NAME",
-                       help="run only the named benchmarks")
-    bench.add_argument("--no-alloc", action="store_true",
-                       help="skip the tracemalloc allocation pass")
-    bench.add_argument("--out", type=Path, default=None,
-                       help="write the BENCH_*.json payload here")
-    bench.add_argument("--baseline", type=Path, default=None,
-                       help="previous BENCH_*.json to compare against "
-                       "(embedded into the output)")
-    bench.add_argument("--fail-threshold", type=float, default=None,
-                       metavar="RATIO",
-                       help="exit 1 if any benchmark's events/sec falls "
-                       "below RATIO x the baseline's")
-    bench.add_argument("--json", action="store_true",
-                       help="print the full payload as JSON")
 
     an = sub.add_parser(
         "analyze",
@@ -510,23 +459,12 @@ def _cmd_simulate(args) -> int:
     config = SimulationConfig(
         prediction_overhead=args.overhead, lookahead=args.lookahead
     )
-    result = simulate(
-        trace,
-        platform,
-        strategy,
-        predictor,
-        config,
-        kernel=args.kernel,
-        shards=args.shards,
-    )
+    result = simulate(trace, platform, strategy, predictor, config)
     if args.json:
         print(json.dumps(result.summary(), indent=2))
         return 0
     print(f"trace       : {args.trace} ({len(trace)} requests)")
     print(f"strategy    : {args.strategy}, predictor: {args.predictor}")
-    if args.shards > 1 or args.kernel:
-        print(f"execution   : shards={args.shards}, "
-              f"kernel={args.kernel or 'default'}")
     print(f"rejection   : {result.rejection_percentage:.2f}% "
           f"({result.n_rejected}/{result.n_requests})")
     print(f"energy      : {result.total_energy:.2f} "
@@ -663,77 +601,6 @@ def _cmd_predict(args) -> int:
     elif not args.json:
         print()
         print(frontier_csv(result), end="")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    # Imported here so the plain simulate/experiment paths never pay for
-    # the perf harness.
-    from repro.perf import (
-        BenchConfig,
-        attach_baseline,
-        load_payload,
-        run_suite,
-        write_payload,
-    )
-
-    if args.fail_threshold is not None and args.baseline is None:
-        print("--fail-threshold requires --baseline", file=sys.stderr)
-        return 2
-    config = BenchConfig(
-        n_traces=args.traces,
-        n_requests=args.requests,
-        seed=args.seed,
-        group=args.group,
-        repeats=args.repeats,
-        alloc=not args.no_alloc,
-        scenario=args.scenario,
-        scenario_events=args.scenario_events,
-    )
-    payload = run_suite(
-        config,
-        only=args.only,
-        progress=None if args.json else (
-            lambda name: print(f"... {name}")
-        ),
-    )
-    ratios: dict[str, float] = {}
-    if args.baseline is not None:
-        ratios = attach_baseline(
-            payload, load_payload(args.baseline), source=str(args.baseline)
-        )
-    if args.out is not None:
-        write_payload(payload, args.out)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for name, result in payload["benchmarks"].items():
-            line = (
-                f"{name:22s} p50 {result['p50'] * 1e3:9.2f} ms  "
-                f"p95 {result['p95'] * 1e3:9.2f} ms  "
-                f"{result['events_per_sec']:12.0f} events/s"
-            )
-            if result["alloc_peak_bytes"] is not None:
-                line += f"  peak {result['alloc_peak_bytes'] / 1024:.0f} KiB"
-            if name in ratios:
-                line += f"  [{ratios[name]:.2f}x baseline]"
-            print(line)
-        if args.out is not None:
-            print(f"written: {args.out}")
-    if args.fail_threshold is not None:
-        slow = {
-            name: ratio
-            for name, ratio in ratios.items()
-            if ratio < args.fail_threshold
-        }
-        if slow:
-            for name, ratio in slow.items():
-                print(
-                    f"REGRESSION: {name} at {ratio:.2f}x baseline "
-                    f"(threshold {args.fail_threshold:.2f}x)",
-                    file=sys.stderr,
-                )
-            return 1
     return 0
 
 
@@ -1225,7 +1092,6 @@ def main(argv: list[str] | None = None) -> int:
         "experiment": _cmd_experiment,
         "evaluate": _cmd_evaluate,
         "predict": _cmd_predict,
-        "bench": _cmd_bench,
         "analyze": _cmd_analyze,
         "faults": _cmd_faults,
         "obs": _cmd_obs,

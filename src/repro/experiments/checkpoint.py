@@ -51,23 +51,15 @@ def compute_fingerprint(
     platform: Platform,
     specs: Sequence[RunSpec],
     traces: Sequence[Trace],
-    *,
-    shards: int = 1,
 ) -> str:
     """Digest the matrix identity a journal belongs to.
 
     Covers the platform layout, every spec's label and simulator config,
-    every trace's full request stream (``float.hex`` encoded, so two
-    numerically different matrices never collide on rounding), and the
-    shard count.  Shards must be part of the identity even though a
-    sharded run is bit-identical to a serial one: a journal records
-    *observed* outcomes (wall times, attempt counts), and resuming a
-    ``shards=4`` journal into a ``shards=1`` run would silently mix
-    execution regimes in the folded cell stats.
+    and every trace's full request stream (``float.hex`` encoded, so two
+    numerically different matrices never collide on rounding).
     """
     digest = hashlib.sha256()
     digest.update(repr(platform).encode())
-    digest.update(f"|shards:{shards}".encode())
     for spec in specs:
         digest.update(f"|spec:{spec.label}:{spec.sim_config!r}".encode())
     for trace in traces:

@@ -3,7 +3,7 @@
 The experiment harness is embarrassingly parallel: every (configuration,
 trace) cell is an independent simulation, fully determined by the spec's
 factories and the trace (all seeding happens at spec construction, never
-at run time).  :func:`execute_matrix` shards the matrix into work units,
+at run time).  :func:`execute_matrix` splits the matrix into work units,
 fans them out over a :class:`concurrent.futures.ProcessPoolExecutor`,
 and folds the results back in stable spec-major order — so the returned
 aggregates are **bit-identical** to the serial path of
@@ -179,56 +179,33 @@ class _UnitOutcome:
 
 # Worker-side state, set once per process by the pool initializer so
 # per-chunk submissions only carry small index tuples.
-_WORKER_STATE: (
-    tuple[Platform, Sequence[RunSpec], Sequence[Trace], int] | None
-) = None
+_WORKER_STATE: tuple[Platform, Sequence[RunSpec], Sequence[Trace]] | None = None
 
 
 def _init_worker(
-    platform: Platform,
-    specs: Sequence[RunSpec],
-    traces: Sequence[Trace],
-    shards: int = 1,
+    platform: Platform, specs: Sequence[RunSpec], traces: Sequence[Trace]
 ) -> None:
     global _WORKER_STATE
-    _WORKER_STATE = (platform, specs, traces, shards)
+    _WORKER_STATE = (platform, specs, traces)
 
 
 def _run_chunk(units: Sequence[tuple[int, int]]) -> list[_UnitOutcome]:
     """Execute a chunk of (spec_index, trace_index) units in a worker.
 
     Exceptions are captured per unit so one bad cell cannot take down
-    the chunk (let alone the pool).  With ``shards > 1`` each cell runs
-    through :func:`repro.sim.sharded.simulate_sharded` with in-process
-    shard windows — never a nested pool — which is bit-identical to the
-    serial run.
+    the chunk (let alone the pool).
     """
     assert _WORKER_STATE is not None, "worker initializer did not run"
-    platform, specs, traces, shards = _WORKER_STATE
+    platform, specs, traces = _WORKER_STATE
     outcomes = []
     for spec_index, trace_index in units:
         spec = specs[spec_index]
         start = time.perf_counter()
         try:
-            if shards > 1:
-                from repro.sim.sharded import simulate_sharded
-
-                result = simulate_sharded(
-                    traces[trace_index],
-                    platform,
-                    spec.strategy(),
-                    spec.predictor(),
-                    spec.sim_config,
-                    shards=shards,
-                )
-            else:
-                simulator = Simulator(
-                    platform,
-                    spec.strategy(),
-                    spec.predictor(),
-                    spec.sim_config,
-                )
-                result = simulator.run(traces[trace_index])
+            simulator = Simulator(
+                platform, spec.strategy(), spec.predictor(), spec.sim_config
+            )
+            result = simulator.run(traces[trace_index])
         except Exception as exc:  # recorded, not raised: see CellFailure
             outcomes.append(
                 _UnitOutcome(
@@ -273,7 +250,6 @@ def execute_matrix(
     progress: Callable[[str, int, int], None] | None = None,
     config: ParallelConfig | None = None,
     checkpoint: str | os.PathLike[str] | None = None,
-    shards: int = 1,
 ) -> dict[str, Aggregate]:
     """Run the (spec x trace) matrix on a process pool.
 
@@ -287,17 +263,8 @@ def execute_matrix(
     same journal skips the journaled cells and folds their metrics back
     from ``float.hex`` records, so a resumed run is bit-identical to an
     uninterrupted one.
-
-    ``shards > 1`` splits every trace at idle-point boundaries inside
-    each worker (:func:`repro.sim.sharded.simulate_sharded`, in-process
-    windows — workers never nest pools); results and aggregates stay
-    bit-identical to ``shards=1``.  The shard count is part of the
-    checkpoint fingerprint, so a journal written at one shard count
-    refuses to resume at another.
     """
     config = config or ParallelConfig()
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     aggregates = {spec.label: Aggregate(spec.label) for spec in specs}
     if not traces or not specs:
         return aggregates
@@ -318,8 +285,7 @@ def execute_matrix(
         )
 
         journal = CheckpointJournal(
-            checkpoint,
-            compute_fingerprint(platform, specs, traces, shards=shards),
+            checkpoint, compute_fingerprint(platform, specs, traces)
         )
         resumed = journal.completed
 
@@ -348,7 +314,7 @@ def execute_matrix(
         return ProcessPoolExecutor(
             max_workers=min(config.resolved_jobs(), len(chunks)),
             initializer=_init_worker,
-            initargs=(platform, specs, traces, shards),
+            initargs=(platform, specs, traces),
         )
 
     def record(outcome: _UnitOutcome) -> None:

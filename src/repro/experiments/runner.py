@@ -244,7 +244,6 @@ def run_matrix(
     progress: Callable[[str, int, int], None] | None = None,
     parallel: "ParallelConfig | int | None" = None,
     checkpoint: str | None = None,
-    shards: int = 1,
     fault_plan: "FaultPlan | None" = None,
     tracer: "TraceOptions | None" = None,
     verify: bool | None = None,
@@ -287,16 +286,7 @@ def run_matrix(
         are journaled as they finish, and re-running with the same
         arguments and journal resumes from where the previous run died,
         bit-identical to an uninterrupted run.
-    shards:
-        Split every trace at idle-point boundaries into up to this many
-        windows (:func:`repro.sim.sharded.simulate_sharded`) — results
-        stay bit-identical to ``shards=1``.  Parallel mode shards
-        in-process inside each pool worker; serial mode shards
-        in-process directly.  The shard count joins the checkpoint
-        fingerprint, so journals do not resume across shard settings.
     """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     labels = [spec.label for spec in specs]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate spec labels: {labels}")
@@ -330,33 +320,17 @@ def run_matrix(
             progress=progress,
             config=parallel,
             checkpoint=checkpoint,
-            shards=shards,
         )
     aggregates = {spec.label: Aggregate(spec.label) for spec in specs}
     for spec in specs:
         for index, trace in enumerate(traces):
             if progress is not None:
                 progress(spec.label, index, len(traces))
+            simulator = Simulator(
+                platform, spec.strategy(), spec.predictor(), spec.sim_config
+            )
             start = time.perf_counter()
-            if shards > 1:
-                from repro.sim.sharded import simulate_sharded
-
-                result = simulate_sharded(
-                    trace,
-                    platform,
-                    spec.strategy(),
-                    spec.predictor(),
-                    spec.sim_config,
-                    shards=shards,
-                )
-            else:
-                simulator = Simulator(
-                    platform,
-                    spec.strategy(),
-                    spec.predictor(),
-                    spec.sim_config,
-                )
-                result = simulator.run(trace)
+            result = simulator.run(trace)
             aggregate = aggregates[spec.label]
             aggregate.add(result, keep_result=keep_results)
             aggregate.cell_stats.append(

@@ -46,45 +46,26 @@ from repro.serve.clock import Clock, VirtualClock, WallClock
 __all__ = [
     "CLOCKS",
     "DEMAND_PREDICTORS",
-    "KERNELS",
     "STRATEGIES",
     "PREDICTORS",
-    "KernelSpec",
     "PredictorFactory",
     "StrategyFactory",
     "clock_names",
     "demand_predictor_names",
-    "kernel_names",
     "predictor_factory",
     "predictor_names",
     "register_clock",
     "register_demand_predictor",
-    "register_kernel",
     "register_predictor",
     "register_strategy",
     "resolve_clock",
     "resolve_demand_predictor",
-    "resolve_kernel",
     "resolve_predictor",
     "resolve_strategy",
     "strategy_factory",
     "strategy_names",
 ]
 
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """One registered simulation kernel (DESIGN.md §14).
-
-    Kernels select *how* the inner simulation loop executes, never what
-    it computes: a vectorised kernel must be bit-identical to the
-    reference loop or decline the run (fall back).  ``vectorised`` tells
-    :meth:`~repro.sim.simulator.Simulator.run` whether to attempt the
-    numpy fast path.
-    """
-
-    name: str
-    vectorised: bool
 
 _STRATEGIES: dict[str, Callable[..., MappingStrategy]] = {
     "heuristic": HeuristicResourceManager,
@@ -118,11 +99,6 @@ _CLOCKS: dict[str, Callable[..., Clock]] = {
     "wall": WallClock,
 }
 
-_KERNELS: dict[str, KernelSpec] = {
-    "python": KernelSpec("python", vectorised=False),
-    "vector": KernelSpec("vector", vectorised=True),
-}
-
 #: Read-only views for introspection (`dict(STRATEGIES)` to copy).
 STRATEGIES: Mapping[str, Callable[..., MappingStrategy]] = MappingProxyType(
     _STRATEGIES
@@ -134,7 +110,6 @@ DEMAND_PREDICTORS: Mapping[str, Callable[..., DemandPredictor]] = (
     MappingProxyType(_DEMAND_PREDICTORS)
 )
 CLOCKS: Mapping[str, Callable[..., Clock]] = MappingProxyType(_CLOCKS)
-KERNELS: Mapping[str, KernelSpec] = MappingProxyType(_KERNELS)
 
 
 def strategy_names() -> list[str]:
@@ -155,11 +130,6 @@ def demand_predictor_names() -> list[str]:
 def clock_names() -> list[str]:
     """All registered clock names, sorted."""
     return sorted(_CLOCKS)
-
-
-def kernel_names() -> list[str]:
-    """All registered kernel names, sorted."""
-    return sorted(_KERNELS)
 
 
 def register_strategy(
@@ -212,28 +182,6 @@ def register_clock(
     if name in _CLOCKS and not overwrite:
         raise ValueError(f"clock {name!r} is already registered")
     _CLOCKS[name] = constructor
-
-
-def register_kernel(
-    name: str,
-    spec: KernelSpec,
-    *,
-    overwrite: bool = False,
-) -> None:
-    """Add a kernel spec to the registry."""
-    if name in _KERNELS and not overwrite:
-        raise ValueError(f"kernel {name!r} is already registered")
-    _KERNELS[name] = spec
-
-
-def resolve_kernel(name: str) -> KernelSpec:
-    """Look up a kernel spec by its registry name."""
-    try:
-        return _KERNELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel {name!r}; choose from {kernel_names()}"
-        ) from None
 
 
 def resolve_strategy(name: str, **kwargs: Any) -> MappingStrategy:

@@ -2,7 +2,8 @@
 
 :class:`VectorTimeline` keeps the ready chain as parallel numpy arrays
 (sorted deadlines, execution times, job ids) instead of Python lists,
-and answers *batches* of feasibility probes at once (DESIGN.md §14).
+and answers *batches* of feasibility probes at once.  It is a standalone
+primitive: the simulator and the admission server use :class:`Timeline`.
 
 Exactness contract: every answer is bit-identical to
 :meth:`repro.sched.timeline.Timeline.probe` on the same chain.  The

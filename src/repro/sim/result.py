@@ -70,20 +70,11 @@ class SimulationResult:
         (displaced and not re-admittable).  A subset of ``accepted``.
     events:
         Structured :class:`~repro.obs.events.SimEvent` stream of the run
-        (empty unless ``SimulationConfig(trace=TraceOptions())`` enabled
+        (empty unless ``SimulationConfig(tracer=TraceOptions())`` enabled
         event collection; see DESIGN.md §11).
     metrics:
         The run's :class:`~repro.obs.metrics.MetricsSnapshot`, ``None``
         unless metrics collection was enabled.
-    delta_log:
-        Shard-internal handoff data (DESIGN.md §14): the ordered
-        ``(tag, value)`` energy-delta stream of this run, collected only
-        for shard runs so the sharded stitcher can refold the serial
-        accumulators bit-identically.  ``None`` on ordinary runs.
-    final_time:
-        The platform time when this run finished (shard runs only;
-        ``None`` otherwise).  The stitcher's ``sim/horizon`` gauge and
-        verifier need the last shard's value.
     """
 
     n_requests: int
@@ -105,12 +96,6 @@ class SimulationResult:
     evicted: list[int] = field(default_factory=list)
     events: "list[SimEvent]" = field(default_factory=list)
     metrics: "MetricsSnapshot | None" = None
-    delta_log: list[tuple[str, float]] | None = field(
-        default=None, repr=False, compare=False
-    )
-    final_time: float | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def n_accepted(self) -> int:

@@ -21,7 +21,6 @@ enforced by admission); the simulator asserts this invariant and raises
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -49,7 +48,6 @@ from repro.workload.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
-    from repro.sim.sharded import ShardWindow
 
 __all__ = ["SimulationConfig", "Simulator", "simulate"]
 
@@ -110,21 +108,6 @@ class SimulationConfig:
         virtual-clock mode of the shared engine: the clock observes
         simulation time, it never drives decisions, so results are
         clock-independent (and bit-identical to the pre-``Clock`` code).
-    kernel:
-        Which inner-loop implementation runs the trace (DESIGN.md §14).
-        ``"python"`` (the default) is the reference event loop below;
-        ``"vector"`` batches isolated requests over numpy
-        struct-of-arrays state and silently falls back to the reference
-        loop for anything it cannot prove bit-identical (faults,
-        tracing, overlapping requests, non-heuristic strategies).
-        Kernels are registry names (:func:`repro.registry.resolve_kernel`)
-        and never change results, only speed.
-
-    .. deprecated::
-        The ``faults=`` and ``trace=`` keywords (and the matching read
-        properties) are deprecated aliases of ``fault_plan=`` /
-        ``tracer=``; they emit :class:`DeprecationWarning` and will be
-        removed after one release cycle.
     """
 
     prediction_overhead: float = 0.0
@@ -136,77 +119,11 @@ class SimulationConfig:
     fault_plan: "FaultPlan | None" = None
     tracer: TraceOptions | None = None
     clock: Clock | None = None
-    kernel: str = "python"
 
     def __post_init__(self) -> None:
         check_non_negative("prediction_overhead", self.prediction_overhead)
         if self.lookahead < 1:
             raise ValueError(f"lookahead must be >= 1, got {self.lookahead}")
-        if not isinstance(self.kernel, str) or not self.kernel:
-            raise ValueError(f"kernel must be a registry name, got {self.kernel!r}")
-
-    @property
-    def faults(self) -> "FaultPlan | None":
-        """Deprecated alias of :attr:`fault_plan`."""
-        warnings.warn(
-            "SimulationConfig.faults is deprecated; use .fault_plan",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.fault_plan
-
-    @property
-    def trace(self) -> TraceOptions | None:
-        """Deprecated alias of :attr:`tracer`."""
-        warnings.warn(
-            "SimulationConfig.trace is deprecated; use .tracer",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.tracer
-
-
-_CONFIG_INIT = SimulationConfig.__init__
-_UNSET = object()
-
-
-def _config_compat_init(
-    self: SimulationConfig,
-    *args: object,
-    faults: object = _UNSET,
-    trace: object = _UNSET,
-    **kwargs: object,
-) -> None:
-    """Accept the pre-rename keywords with a :class:`DeprecationWarning`.
-
-    Installed over the dataclass-generated ``__init__`` so frozen-field
-    semantics, ``__eq__``/``__repr__`` and ``dataclasses.replace`` (which
-    only sees the canonical field names) are untouched.
-    """
-    if faults is not _UNSET:
-        warnings.warn(
-            "SimulationConfig(faults=...) is deprecated; "
-            "use SimulationConfig(fault_plan=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if "fault_plan" in kwargs:
-            raise TypeError("pass fault_plan= or faults=, not both")
-        kwargs["fault_plan"] = faults
-    if trace is not _UNSET:
-        warnings.warn(
-            "SimulationConfig(trace=...) is deprecated; "
-            "use SimulationConfig(tracer=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if "tracer" in kwargs:
-            raise TypeError("pass tracer= or trace=, not both")
-        kwargs["tracer"] = trace
-    _CONFIG_INIT(self, *args, **kwargs)  # type: ignore[arg-type]
-
-
-SimulationConfig.__init__ = _config_compat_init  # type: ignore[method-assign]
 
 
 class Simulator:
@@ -244,12 +161,7 @@ class Simulator:
         """Whether a real (non-null) predictor is configured."""
         return not isinstance(self.predictor, NullPredictor)
 
-    def run(
-        self,
-        trace: Trace,
-        *,
-        window: "ShardWindow | None" = None,
-    ) -> SimulationResult:
+    def run(self, trace: Trace) -> SimulationResult:
         """Simulate one trace end-to-end and return the metrics.
 
         With ``SimulationConfig(tracer=TraceOptions())`` the run also
@@ -257,28 +169,16 @@ class Simulator:
         the result (DESIGN.md §11); the tracer is installed on the
         strategy and admission controller only for the duration of this
         call, so untraced runs through the same objects stay clean.
-
-        ``window`` restricts the run to one shard of the trace
-        (DESIGN.md §14); it is internal to :mod:`repro.sim.sharded`.
         """
-        if window is None and self.config.kernel != "python":
-            from repro.registry import resolve_kernel
-
-            if resolve_kernel(self.config.kernel).vectorised:
-                from repro.sim.kernels import try_run_vectorised
-
-                result = try_run_vectorised(self, trace)
-                if result is not None:
-                    return result
         options = self.config.tracer
         if options is None:
-            return self._run(trace, NULL_TRACER, None, window=window)
+            return self._run(trace, NULL_TRACER, None)
         tracer: Tracer = CollectingTracer() if options.events else NULL_TRACER
         metrics = MetricsRegistry() if options.metrics else None
         wall_start = monotonic_now()
         self.strategy.tracer = tracer
         try:
-            result = self._run(trace, tracer, metrics, window=window)
+            result = self._run(trace, tracer, metrics)
         finally:
             self.strategy.tracer = NULL_TRACER
         if isinstance(tracer, CollectingTracer):
@@ -295,13 +195,9 @@ class Simulator:
         trace: Trace,
         tracer: Tracer,
         metrics: MetricsRegistry | None,
-        window: "ShardWindow | None" = None,
     ) -> SimulationResult:
         plan = self.config.fault_plan
         if plan is not None and plan.trace_faults:
-            # Shard configs arrive with trace_faults stripped (the
-            # sharded driver perturbs once, up front, so every shard
-            # sees the same perturbed trace and identical indices).
             trace = plan.perturb_trace(trace)
         if trace.n_resources != self.platform.size:
             raise ValueError(
@@ -309,8 +205,6 @@ class Simulator:
                 f"has {self.platform.size}"
             )
         self.predictor.reset()
-        if window is not None and window.start > 0:
-            self._warm_up_predictor(trace, window.start, plan)
         state = PlatformState(
             self.platform,
             charge_unstarted_migration=self.config.charge_unstarted_migration,
@@ -319,15 +213,7 @@ class Simulator:
             ),
             tracer=tracer,
             clock=self.config.clock,
-            collect_deltas=window is not None,
         )
-        if window is not None:
-            # Handoff: resources already down at the shard boundary
-            # (replayed from the plan by the driver).  fail_resource on
-            # the fresh state is silent and displaces nothing — the
-            # idle-point cut guarantees no carried-over jobs.
-            for resource in sorted(window.preset_down):
-                state.fail_resource(resource)
         result = SimulationResult(
             n_requests=len(trace), energy_demand=trace.stats().energy_demand
         )
@@ -348,15 +234,6 @@ class Simulator:
         fault_events: deque[tuple[float, str, int]] = deque(
             plan.outage_events() if plan is not None else ()
         )
-        if window is not None and fault_events:
-            # Boundaries at or before the previous cut are part of the
-            # preset_down handoff; boundaries past this shard's cut
-            # belong to the next shard.
-            fault_events = deque(
-                event
-                for event in fault_events
-                if window.events_lo < event[0] <= window.events_hi
-            )
 
         def advance_to(until: float) -> None:
             # Outage boundaries are applied *before* execution crosses
@@ -371,11 +248,7 @@ class Simulator:
                 )
             state.advance(until)
 
-        start, stop = (
-            (0, len(trace)) if window is None else (window.start, window.stop)
-        )
-        for index in range(start, stop):
-            request = trace.requests[index]
+        for index, request in enumerate(trace):
             # With a decision overhead, the previous activation may have
             # finished *after* this request arrived; the RM handles
             # arrivals in order, so this decision starts no earlier.
@@ -480,22 +353,11 @@ class Simulator:
                     )
                 )
 
-        if window is not None and window.drain_until is not None:
-            # Interior shard: the serial run executes this shard's tail
-            # during its advance to the *next* shard's first decision,
-            # never via completion_horizon() — replaying the exact same
-            # advance target keeps every chunk's float arithmetic (and
-            # therefore every energy delta and span) bit-identical.
-            advance_to(window.drain_until)
-        else:
-            # Drain: outages striking before the backlog finishes still
-            # displace jobs; boundaries past the horizon change nothing.
-            while (
-                fault_events
-                and fault_events[0][0] < state.completion_horizon()
-            ):
-                advance_to(fault_events[0][0])
-            state.advance(state.completion_horizon())
+        # Drain: outages striking before the backlog finishes still
+        # displace jobs; boundaries past the horizon change nothing.
+        while fault_events and fault_events[0][0] < state.completion_horizon():
+            advance_to(fault_events[0][0])
+        state.advance(state.completion_horizon())
         if state.jobs:  # pragma: no cover - invariant
             raise RuntimeError(
                 f"jobs left unfinished after drain: {sorted(state.jobs)}"
@@ -506,9 +368,6 @@ class Simulator:
         result.migration_energy = state.migration_energy
         result.migration_count = state.migration_count
         result.abort_count = state.abort_count
-        if window is not None:
-            result.delta_log = state.delta_log
-            result.final_time = state.time
         if tracer.enabled:
             tracer.emit(
                 "sim-end",
@@ -528,50 +387,6 @@ class Simulator:
             self._verify(trace, result)
         return result
 
-    def _warm_up_predictor(
-        self,
-        trace: Trace,
-        upto: int,
-        plan: "FaultPlan | None",
-    ) -> None:
-        """Replay predictor queries for requests before a shard window.
-
-        Stateful predictors (online learners, seeded noise models) must
-        see exactly the call sequence the serial run made before the
-        shard's first request.  This mirrors ``_run``'s decision chain —
-        including overhead accounting and injected predictor faults,
-        which *skip* the real query — but discards every forecast and
-        records nothing.  Only called when a real predictor is
-        configured (NullPredictor queries are stateless).
-        """
-        if not self.prediction_enabled:
-            return
-        overhead = self.config.prediction_overhead
-        time = 0.0
-        for index in range(upto):
-            decision_time = max(trace.requests[index].arrival, time)
-            injected = (
-                plan.predictor_fault_at(decision_time)
-                if plan is not None
-                else None
-            )
-            if injected is None:
-                try:
-                    self.predictor.predict_horizon(
-                        trace, index, self.config.lookahead
-                    )
-                except Exception:  # noqa: BLE001 - mirror of _query_predictor
-                    pass
-            if overhead > 0:
-                decision_time += overhead
-            time = decision_time
-        # Reactions fired before the window (drift detections, retrains)
-        # were recorded by the shard that owns those requests; only the
-        # predictor *state* carries across the cut.
-        drain = getattr(self.predictor, "drain_events", None)
-        if drain is not None:
-            drain()
-
     @staticmethod
     def _fold_metrics(
         metrics: MetricsRegistry,
@@ -583,8 +398,7 @@ class Simulator:
         Counters sum across executor cells (ints stay ints; energies
         are float sums); gauges are per-run high-water marks that merge
         by ``max`` (DESIGN.md §11).  ``horizon`` is the platform time
-        when the run finished; the sharded stitcher calls this with the
-        last shard's final time (DESIGN.md §14).
+        when the run finished.
         """
         metrics.inc("energy/migration", result.migration_energy)
         metrics.inc("energy/total", result.total_energy)
@@ -981,9 +795,6 @@ def simulate(
     tracer: TraceOptions | None = None,
     verify: bool | None = None,
     clock: Clock | None = None,
-    kernel: str | None = None,
-    shards: int = 1,
-    shard_jobs: int | None = None,
 ) -> SimulationResult:
     """One-call convenience wrapper around :class:`Simulator`.
 
@@ -999,10 +810,6 @@ def simulate(
                  fault_plan=plan, tracer=TraceOptions(), verify=True)
 
     A keyword given here overrides the corresponding field of ``config``.
-
-    ``shards=N`` splits the trace at idle points and stitches the shard
-    results back together, bit-identical to ``shards=1`` (DESIGN.md
-    §14); ``shard_jobs`` additionally runs the shards on a process pool.
     """
     config = config or SimulationConfig()
     overrides: dict[str, object] = {}
@@ -1014,24 +821,6 @@ def simulate(
         overrides["verify"] = verify
     if clock is not None:
         overrides["clock"] = clock
-    if kernel is not None:
-        overrides["kernel"] = kernel
     if overrides:
         config = replace(config, **overrides)
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if shards > 1:
-        # Imported lazily: the sharded driver pulls in numpy and the
-        # executor machinery, which plain runs must not.
-        from repro.sim.sharded import simulate_sharded
-
-        return simulate_sharded(
-            trace,
-            platform,
-            strategy,
-            predictor,
-            config,
-            shards=shards,
-            shard_jobs=shard_jobs,
-        )
     return Simulator(platform, strategy, predictor, config).run(trace)

@@ -118,7 +118,6 @@ class PlatformState:
         log_execution: bool = False,
         tracer: Tracer = NULL_TRACER,
         clock: Clock | None = None,
-        collect_deltas: bool = False,
     ) -> None:
         self.platform = platform
         self.charge_unstarted_migration = charge_unstarted_migration
@@ -140,16 +139,6 @@ class PlatformState:
         self.abort_count = 0
         self.execution_log: list[ExecutionSpan] | None = (
             [] if log_execution else None
-        )
-        # Ordered energy-delta stream for sharded stitching (DESIGN.md
-        # §14): every float added to an energy accumulator, tagged with
-        # its destination ("w"ork -> total, "m"igration -> total +
-        # migration, "x" wasted).  Replaying the concatenated shard
-        # streams with one sequential fold reproduces the serial run's
-        # accumulator floats bit-for-bit (float addition does not
-        # regroup).
-        self.delta_log: list[tuple[str, float]] | None = (
-            [] if collect_deltas else None
         )
         # Resources currently unavailable (fault injection, DESIGN.md
         # §10).  Down resources execute nothing; fail_resource() empties
@@ -248,8 +237,6 @@ class PlatformState:
                 # Abort & restart from scratch: no state to migrate.
                 wasted = job.energy_this_attempt
                 self.wasted_energy += wasted
-                if self.delta_log is not None:
-                    self.delta_log.append(("x", wasted))
                 job.remaining_fraction = 1.0
                 job.energy_this_attempt = 0.0
                 job.pending_migration_time = 0.0
@@ -273,8 +260,6 @@ class PlatformState:
                 job.energy_consumed += overhead
                 self.total_energy += overhead
                 self.migration_energy += overhead
-                if self.delta_log is not None:
-                    self.delta_log.append(("m", overhead))
                 job.migrations += 1
                 self.migration_count += 1
                 if self.tracer.enabled:
@@ -324,8 +309,6 @@ class PlatformState:
         )
         for job in displaced:
             self.wasted_energy += job.energy_this_attempt
-            if self.delta_log is not None:
-                self.delta_log.append(("x", job.energy_this_attempt))
             job.remaining_fraction = 1.0
             job.energy_this_attempt = 0.0
             job.pending_migration_time = 0.0
@@ -441,8 +424,6 @@ class PlatformState:
                 job.energy_consumed += delta_energy
                 job.energy_this_attempt += delta_energy
                 self.total_energy += delta_energy
-                if self.delta_log is not None:
-                    self.delta_log.append(("w", delta_energy))
                 job.remaining_fraction -= run / wcet
                 self._log(job.job_id, resource, now, now + run, "work")
                 now += run

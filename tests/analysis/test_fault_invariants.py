@@ -28,7 +28,7 @@ def _gpu_outage_plan(trace, platform) -> FaultPlan:
 
 def _run(trace, platform, plan, predictor="oracle"):
     config = SimulationConfig(
-        faults=plan, collect_execution_log=True, collect_records=True
+        fault_plan=plan, collect_execution_log=True, collect_records=True
     )
     return simulate(trace, platform, "heuristic", predictor, config)
 

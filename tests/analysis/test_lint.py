@@ -345,7 +345,7 @@ class TestMonotonicAllowlist:
         }
 
     @pytest.mark.parametrize("module", [
-        "repro.experiments.runner", "repro.cli", "repro.perf.bench",
+        "repro.experiments.runner", "repro.cli",
         "repro.obs.tracing", "repro.serve.clock", "repro.serve.smoke",
         "tests.serve.test_server",
     ])

@@ -24,13 +24,12 @@ from repro.experiments.checkpoint import (
     compute_fingerprint,
 )
 from repro.experiments.common import standard_platform, standard_traces
-from repro.experiments.config import CALIBRATED_ARRIVAL_SCALE, HarnessScale
+from repro.experiments.config import HarnessScale
 from repro.experiments.executor import ParallelConfig
 from repro.experiments.runner import RunSpec, run_matrix
 from repro.workload.tracegen import DeadlineGroup
 
 TINY = HarnessScale(n_traces=3, n_requests=20, master_seed=3)
-CALIBRATED = CALIBRATED_ARRIVAL_SCALE
 
 
 def _specs() -> list[RunSpec]:
@@ -77,16 +76,6 @@ class TestFingerprint:
         base = compute_fingerprint(platform, _specs(), traces)
         assert base != compute_fingerprint(platform, _specs()[:1], traces)
         assert base != compute_fingerprint(platform, _specs(), traces[:2])
-
-    def test_sensitive_to_shards(self, matrix):
-        platform, traces = matrix
-        base = compute_fingerprint(platform, _specs(), traces)
-        assert base == compute_fingerprint(
-            platform, _specs(), traces, shards=1
-        )
-        assert base != compute_fingerprint(
-            platform, _specs(), traces, shards=2
-        )
 
     def test_sensitive_to_platform(self, matrix):
         from repro.model.platform import Platform
@@ -269,14 +258,10 @@ _KILL_SCRIPT = textwrap.dedent(
 
     checkpoint = sys.argv[1]
     kill_after = int(sys.argv[2])
-    shards = int(sys.argv[3])
-    arrival_scale = float(sys.argv[4])
 
     scale = HarnessScale(n_traces=3, n_requests=20, master_seed=3)
     platform = standard_platform()
-    traces = standard_traces(
-        DeadlineGroup.VT, scale, arrival_scale=arrival_scale
-    )
+    traces = standard_traces(DeadlineGroup.VT, scale)
     specs = [
         RunSpec.from_names("h-off", strategy="heuristic"),
         RunSpec.from_names("h-on", strategy="heuristic", predictor="oracle"),
@@ -297,13 +282,12 @@ _KILL_SCRIPT = textwrap.dedent(
         parallel=ParallelConfig(jobs=1),
         progress=progress,
         checkpoint=checkpoint,
-        shards=shards,
     )
     """
 )
 
 
-def _run_killed(tmp_path, path, *, shards: int, arrival_scale: float) -> None:
+def _run_killed(tmp_path, path) -> None:
     """Launch the kill script and assert it died to SIGKILL."""
     script = tmp_path / "killed_run.py"
     script.write_text(_KILL_SCRIPT)
@@ -316,14 +300,7 @@ def _run_killed(tmp_path, path, *, shards: int, arrival_scale: float) -> None:
     stderr_path = tmp_path / "killed_run.stderr"
     with open(stderr_path, "w", encoding="utf-8") as stderr:
         proc = subprocess.run(
-            [
-                sys.executable,
-                str(script),
-                str(path),
-                "2",
-                str(shards),
-                str(arrival_scale),
-            ],
+            [sys.executable, str(script), str(path), "2"],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=stderr,
@@ -341,7 +318,7 @@ class TestCrashResume:
     ):
         platform, traces = matrix
         path = tmp_path / "crash.jsonl"
-        _run_killed(tmp_path, path, shards=1, arrival_scale=CALIBRATED)
+        _run_killed(tmp_path, path)
 
         # The journal survived the kill with >= 2 completed cells.
         journal_lines = [
@@ -366,51 +343,4 @@ class TestCrashResume:
         # only the incomplete cells re-executed...
         assert len(calls) == total - completed
         # ...and the aggregates match an uninterrupted run bit-for-bit
-        _assert_bit_identical(resumed, reference)
-
-    def test_sigkill_resume_with_shards(self, tmp_path):
-        """Regression: shard count is part of the journal fingerprint.
-
-        A ``shards=2`` run killed mid-matrix must resume under
-        ``shards=2`` (bit-identical to an uninterrupted serial run) and
-        must be *refused* under any other shard count — before the fix
-        the fingerprints collided and the mixed resume went unnoticed.
-        """
-        platform = standard_platform()
-        # Sparse arrivals so the shard splitter finds real cut points.
-        traces = standard_traces(DeadlineGroup.VT, TINY, arrival_scale=40.0)
-        path = tmp_path / "crash.jsonl"
-        _run_killed(tmp_path, path, shards=2, arrival_scale=40.0)
-
-        journal_lines = [
-            line for line in path.read_text().splitlines() if line.strip()
-        ]
-        completed = len(journal_lines) - 1
-        total = len(_specs()) * len(traces)
-        assert 2 <= completed < total
-
-        # Resuming at a different shard count is refused outright.
-        for wrong_shards in (1, 3):
-            with pytest.raises(CheckpointError, match="different experiment"):
-                run_matrix(
-                    traces,
-                    platform,
-                    _specs(),
-                    parallel=ParallelConfig(jobs=1),
-                    checkpoint=str(path),
-                    shards=wrong_shards,
-                )
-
-        reference = run_matrix(traces, platform, _specs())
-        calls: list[tuple] = []
-        resumed = run_matrix(
-            traces,
-            platform,
-            _specs(),
-            parallel=ParallelConfig(jobs=1),
-            progress=lambda *args: calls.append(args),
-            checkpoint=str(path),
-            shards=2,
-        )
-        assert len(calls) == total - completed
         _assert_bit_identical(resumed, reference)

@@ -50,7 +50,7 @@ def _digest(trace, platform, config) -> dict:
 
 def test_gpu_outage_displaces_and_records_events(tiny_trace, platform):
     plan = _gpu_outage_plan(tiny_trace, platform)
-    config = SimulationConfig(faults=plan, collect_records=True)
+    config = SimulationConfig(fault_plan=plan, collect_records=True)
     result = simulate(tiny_trace, platform, "heuristic", "oracle", config)
 
     kinds = [event.kind for event in result.degradations]
@@ -69,7 +69,7 @@ def test_gpu_outage_displaces_and_records_events(tiny_trace, platform):
 
 def test_same_plan_replayed_twice_is_bit_identical(tiny_trace, platform):
     plan = _gpu_outage_plan(tiny_trace, platform)
-    config = SimulationConfig(faults=plan, collect_execution_log=True)
+    config = SimulationConfig(fault_plan=plan, collect_execution_log=True)
     first = _digest(tiny_trace, platform, config)
     second = _digest(tiny_trace, platform, config)
     assert first == second
@@ -88,7 +88,7 @@ def test_generated_plan_replay_is_bit_identical(tiny_trace, platform):
         predictor_fault_duration=span / 3.0,
         spare_resource=platform.size - 1,
     )
-    config = SimulationConfig(faults=plan, collect_execution_log=True)
+    config = SimulationConfig(fault_plan=plan, collect_execution_log=True)
     assert _digest(tiny_trace, platform, config) == _digest(
         tiny_trace, platform, config
     )
@@ -101,7 +101,7 @@ def test_zero_fault_plan_digest_identical_to_no_plan(tiny_trace, platform):
     empty = _digest(
         tiny_trace,
         platform,
-        SimulationConfig(faults=FaultPlan(), collect_execution_log=True),
+        SimulationConfig(fault_plan=FaultPlan(), collect_execution_log=True),
     )
     assert clean == empty
     assert clean["degradations"] == []
@@ -112,7 +112,7 @@ def test_permanent_outage_never_comes_back(tiny_trace, platform):
     plan = FaultPlan(
         outages=(ResourceOutage(platform.size - 1, start),)  # end = inf
     )
-    config = SimulationConfig(faults=plan)
+    config = SimulationConfig(fault_plan=plan)
     result = simulate(tiny_trace, platform, "heuristic", "oracle", config)
     kinds = [event.kind for event in result.degradations]
     assert "resource-down" in kinds
@@ -122,7 +122,7 @@ def test_permanent_outage_never_comes_back(tiny_trace, platform):
 def test_faulted_run_passes_fault_aware_verification(tiny_trace, platform):
     plan = _gpu_outage_plan(tiny_trace, platform)
     config = SimulationConfig(
-        faults=plan, verify=True, collect_records=True
+        fault_plan=plan, verify=True, collect_records=True
     )
     result = simulate(tiny_trace, platform, "heuristic", "oracle", config)
     assert result.verification is not None

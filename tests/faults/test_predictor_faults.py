@@ -33,7 +33,7 @@ def _window_plan(trace: Trace, kind: str) -> FaultPlan:
 
 def test_injected_exception_degrades_to_no_prediction(tiny_trace, platform):
     plan = _window_plan(tiny_trace, "exception")
-    config = SimulationConfig(faults=plan, collect_records=True)
+    config = SimulationConfig(fault_plan=plan, collect_records=True)
     result = simulate(tiny_trace, platform, "heuristic", "oracle", config)
     assert result.predictions_used == 0
     kinds = {event.kind for event in result.degradations}
@@ -45,7 +45,7 @@ def test_injected_exception_degrades_to_no_prediction(tiny_trace, platform):
 
 def test_injected_timeout_degrades(tiny_trace, platform):
     plan = _window_plan(tiny_trace, "timeout")
-    config = SimulationConfig(faults=plan)
+    config = SimulationConfig(fault_plan=plan)
     result = simulate(tiny_trace, platform, "heuristic", "oracle", config)
     assert result.predictions_used == 0
     assert {e.kind for e in result.degradations} == {"predictor-timeout"}
@@ -53,7 +53,7 @@ def test_injected_timeout_degrades(tiny_trace, platform):
 
 def test_injected_garbage_is_filtered_and_recorded(tiny_trace, platform):
     plan = _window_plan(tiny_trace, "garbage")
-    config = SimulationConfig(faults=plan)
+    config = SimulationConfig(fault_plan=plan)
     result = simulate(tiny_trace, platform, "heuristic", "oracle", config)
     assert result.predictions_used == 0
     events = [e for e in result.degradations if e.kind == "predictor-garbage"]
@@ -63,7 +63,7 @@ def test_injected_garbage_is_filtered_and_recorded(tiny_trace, platform):
 
 def test_injected_faults_ignored_when_prediction_off(tiny_trace, platform):
     plan = _window_plan(tiny_trace, "exception")
-    config = SimulationConfig(faults=plan)
+    config = SimulationConfig(fault_plan=plan)
     result = simulate(tiny_trace, platform, "heuristic", None, config)
     assert result.degradations == []
 
@@ -73,7 +73,7 @@ def test_partial_window_matches_no_prediction_outside(tiny_trace, platform):
     plan = FaultPlan(
         predictor_faults=(PredictorFault("exception", 0.0, span / 2.0),)
     )
-    config = SimulationConfig(faults=plan)
+    config = SimulationConfig(fault_plan=plan)
     result = simulate(tiny_trace, platform, "heuristic", "oracle", config)
     # predictions resume after the window ends
     assert result.predictions_used > 0

@@ -39,20 +39,9 @@ def pair_key(strategy: str, predictor: str | None) -> str:
 
 
 def result_digest(
-    trace: Trace,
-    strategy: str,
-    predictor: str | None,
-    *,
-    kernel: str = "python",
-    shards: int = 1,
+    trace: Trace, strategy: str, predictor: str | None
 ) -> dict[str, Any]:
-    """Replay ``trace`` and produce its bit-exact behavioural digest.
-
-    ``kernel``/``shards`` select the execution path; every path is
-    required to reproduce the *same* digest as the serial pure-Python
-    run — that is the whole point of the golden suite's kernel
-    parametrisation.
-    """
+    """Replay ``trace`` and produce its bit-exact behavioural digest."""
     platform = Platform.cpu_gpu(n_cpus=5, n_gpus=1)
     result = simulate(
         trace,
@@ -60,8 +49,6 @@ def result_digest(
         strategy,
         predictor,
         SimulationConfig(collect_execution_log=True),
-        kernel=kernel,
-        shards=shards,
     )
     span_lines = [
         f"{span.job_id},{span.resource},{span.kind},"

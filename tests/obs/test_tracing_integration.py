@@ -40,7 +40,7 @@ def trace(platform):
 
 
 def _traced_config(**kwargs) -> SimulationConfig:
-    return SimulationConfig(trace=TraceOptions(), **kwargs)
+    return SimulationConfig(tracer=TraceOptions(), **kwargs)
 
 
 class TestDeterminism:
@@ -137,12 +137,12 @@ class TestObserverNeutrality:
     def test_events_only_and_metrics_only_options(self, platform, trace):
         events_only = simulate(
             trace, platform, "heuristic", None,
-            SimulationConfig(trace=TraceOptions(metrics=False)),
+            SimulationConfig(tracer=TraceOptions(metrics=False)),
         )
         assert events_only.events and events_only.metrics is None
         metrics_only = simulate(
             trace, platform, "heuristic", None,
-            SimulationConfig(trace=TraceOptions(events=False)),
+            SimulationConfig(tracer=TraceOptions(events=False)),
         )
         assert metrics_only.events == [] and metrics_only.metrics is not None
 
