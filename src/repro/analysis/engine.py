@@ -230,9 +230,9 @@ class LintConfig:
     shared_state_roots: frozenset[str] = frozenset({"engine", "depository"})
     shared_state_mutators: frozenset[str] = frozenset(
         {
-            "admit", "advance", "apply_mapping", "decide", "drain",
-            "mark_reprovisioned", "record_completion", "record_decision",
-            "record_shed", "score_forecast",
+            "admit", "advance", "apply_mapping", "catch_up", "decide",
+            "drain", "mark_reprovisioned", "record_completion",
+            "record_decision", "record_shed", "remap", "score_forecast",
         }
     )
     dispatcher_functions: frozenset[str] = frozenset({"_dispatch_loop"})

@@ -28,9 +28,12 @@ def nrmse(
 
     ``sqrt(mean((predicted - actual)^2)) / norm``; when ``norm`` is
     omitted it defaults to the mean first difference of ``actual`` (the
-    trace-level convention of :func:`evaluate_predictor`), falling back
-    to ``1.0`` when that mean is not strictly positive — degenerate
-    inputs (constant series, a single sample) degrade to the
+    trace-level convention of :func:`evaluate_predictor`), computed in
+    its exact telescoped form ``(actual[-1] - actual[0]) / (n - 1)``
+    rather than by summing the gaps, whose rounding can leave a tiny
+    non-zero residue where the true mean is 0.  It falls back to
+    ``1.0`` when that mean is not strictly positive — degenerate inputs
+    (constant or net-flat series, a single sample) degrade to the
     unnormalised error rather than NaN or a zero division.
 
     Raises :class:`ValueError` on mismatched lengths, on empty inputs,
@@ -46,8 +49,8 @@ def nrmse(
     if norm is not None and not norm > 0:
         raise ValueError(f"norm must be > 0, got {norm}")
     if norm is None:
-        gaps = [b - a for a, b in zip(actual, actual[1:], strict=False)]
-        mean_gap = sum(gaps) / len(gaps) if gaps else 0.0
+        n = len(actual)
+        mean_gap = (actual[-1] - actual[0]) / (n - 1) if n > 1 else 0.0
         norm = mean_gap if mean_gap > 0 else 1.0
     squared = sum((p - a) ** 2 for p, a in zip(predicted, actual, strict=True))
     return math.sqrt(squared / len(actual)) / norm

@@ -6,11 +6,15 @@ One :class:`AdmissionEngine` holds exactly the objects a
 :class:`~repro.core.admission.AdmissionController` over a registry
 strategy, an (optional) predictor — but consumes an *open-ended* stream
 of per-tenant requests instead of a finite
-:class:`~repro.workload.trace.Trace`.  Its decision path mirrors the
-simulator's step for step (decision time, prediction overhead,
-``S-bar`` construction, mapping application), which is what the
-sim/live parity suite pins: the same declared-arrival stream produces
-the same accept/reject sequence through either front end.
+:class:`~repro.workload.trace.Trace`.  Each admit runs the simulator's
+own RM activation, :class:`~repro.sim.step.AdmissionStep` (decision
+time, prediction overhead, ``S-bar`` construction, mapping
+application), over a :class:`RequestLog`; the engine adds only the
+live-service layer around it — arrival stamping, quotas, the
+reprovision cooldown, depository scoring, ``serve/*`` metrics.  So the
+same declared-arrival stream produces the same accept/reject sequence
+through either front end by construction; the sim/live parity suite
+smoke-checks it end to end over the socket.
 
 :class:`AdmissionServer` wraps the engine in an asyncio daemon speaking
 the NDJSON protocol of :mod:`repro.serve.protocol`:
@@ -59,7 +63,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.core.admission import AdmissionController, AdmissionOutcome
 from repro.core.base import MappingStrategy
-from repro.core.context import PREDICTED_JOB_ID, PlannedTask, RMContext
+from repro.faults.events import DegradationEvent
 from repro.model.platform import Platform
 from repro.model.request import PredictedRequest, Request
 from repro.model.task import TaskType
@@ -83,6 +87,7 @@ from repro.serve.protocol import (
     error_payload,
 )
 from repro.sim.state import PlatformState
+from repro.sim.step import AdmissionStep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.serve import ServeFaultPlan
@@ -291,8 +296,8 @@ class RequestLog:
 class AdmissionEngine:
     """The synchronous decision core shared by server and smoke driver.
 
-    Mirrors ``Simulator._run``'s per-arrival step on an open-ended
-    stream; see the module docstring for the parity contract.
+    Runs the shared :class:`~repro.sim.step.AdmissionStep` on an
+    open-ended stream; see the module docstring for what it adds.
     """
 
     def __init__(
@@ -311,7 +316,6 @@ class AdmissionEngine:
         self.strategy = strategy
         self.predictor = predictor or NullPredictor()
         self.predictor.reset()
-        self._admission = AdmissionController(strategy)
         self.state = PlatformState(
             platform,
             charge_unstarted_migration=config.charge_unstarted_migration,
@@ -329,10 +333,15 @@ class AdmissionEngine:
         self._last_arrival = 0.0
         self._pending_forecast: PredictedRequest | None = None
         self._cooldown = 0
-
-    @property
-    def prediction_enabled(self) -> bool:
-        return not isinstance(self.predictor, NullPredictor)
+        self._step = AdmissionStep(
+            self.state,
+            AdmissionController(strategy),
+            self.predictor,
+            advance=self._advance,
+            degrade=self._degrade,
+            lookahead=config.lookahead,
+            prediction_overhead=config.prediction_overhead,
+        )
 
     @property
     def catalog(self) -> tuple[TaskType, ...]:
@@ -359,8 +368,7 @@ class AdmissionEngine:
 
         if self._cooldown > 0:
             self._cooldown -= 1
-        decision_time = max(arrival, self.state.time)
-        self._complete(self.state.advance(decision_time))
+        decision_time = self._step.catch_up(arrival)
 
         # Quota is judged *after* execution catches up to the arrival, so
         # jobs that finished in the meantime free their slots first.
@@ -400,49 +408,18 @@ class AdmissionEngine:
         if frame.final:
             self.log.close()
 
-        predictions = self._safe_predictions(index, decision_time)
-        self._drain_predictor_events()
-        if self.prediction_enabled and self.config.prediction_overhead > 0:
-            decision_time += self.config.prediction_overhead
-            self._complete(self.state.advance(decision_time))
-
-        new_task = PlannedTask(
-            job_id=request.index,
-            task=self.catalog[request.type_id],
-            absolute_deadline=request.absolute_deadline,
+        made = self._step.decide(
+            self.log, index, decision_time, predict=self._cooldown == 0
         )
-        tasks = [*self.state.active_views(), new_task]
-        tasks.extend(
-            self._predicted_view(p, decision_time, offset)
-            for offset, p in enumerate(predictions)
-        )
-        context = RMContext(
-            time=decision_time,
-            platform=self.platform,
-            tasks=tuple(tasks),
-            charge_unstarted_migration=(
-                self.config.charge_unstarted_migration
-            ),
-            down_resources=frozenset(self.state.down),
-        )
-        outcome = self._admission.decide(context)
-        self._drain_degradations()
+        outcome = made.outcome
+        decision_time = made.decision_time
         if outcome.admitted:
-            assert outcome.decision is not None
-            self.state.admit(request, self.catalog[request.type_id])
-            self.state.apply_mapping(
-                {
-                    job_id: resource
-                    for job_id, resource in outcome.decision.mapping.items()
-                    if job_id < PREDICTED_JOB_ID
-                }
-            )
-            self._job_tenants[request.index] = frame.tenant
+            self._job_tenants[index] = frame.tenant
             status = "accepted"
         else:
             status = "rejected"
-        if predictions:
-            self._pending_forecast = predictions[0]
+        if made.predictions:
+            self._pending_forecast = made.predictions[0]
 
         self.decisions += 1
         self.depository.record_decision(frame.tenant, status, decision_time)
@@ -510,79 +487,27 @@ class AdmissionEngine:
                 self.depository.record_completion(tenant)
             self.metrics.inc("serve/completed")
 
-    def _safe_predictions(
-        self, index: int, decision_time: float
-    ) -> list[PredictedRequest]:
-        """Query the predictor, degrading any fault to no-prediction
-        (the simulator's ``_safe_predictions`` for a live stream)."""
-        if not self.prediction_enabled or self._cooldown > 0:
-            return []
-        try:
-            predictions = list(
-                self.predictor.predict_horizon(
-                    self.log, index, self.config.lookahead
-                )
-            )
-        except Exception:  # noqa: BLE001 - degrade, don't die
-            self.metrics.inc("serve/degradations")
-            return []
-        valid: list[PredictedRequest] = []
-        for prediction in predictions:
-            if (
-                0 <= prediction.type_id < len(self.catalog)
-                and math.isfinite(prediction.arrival)
-                and math.isfinite(prediction.deadline)
-                and prediction.deadline > 0
-            ):
-                valid.append(prediction)
-            else:
-                self.metrics.inc("serve/degradations")
-        return valid
+    def _advance(self, until: float) -> None:
+        self._complete(self.state.advance(until))
 
-    def _predicted_view(
-        self,
-        prediction: PredictedRequest,
-        decision_time: float,
-        offset: int = 0,
-    ) -> PlannedTask:
-        arrival = max(prediction.arrival, decision_time)
-        return PlannedTask(
-            job_id=PREDICTED_JOB_ID + offset,
-            task=self.catalog[prediction.type_id],
-            absolute_deadline=arrival + prediction.deadline,
-            is_predicted=True,
-            arrival=arrival,
-        )
+    def _degrade(self, event: DegradationEvent) -> None:
+        """Fold one degradation from the shared step into service state.
 
-    def _drain_degradations(self) -> None:
-        drain = getattr(self._admission.strategy, "drain_events", None)
-        if drain is None:
-            return
-        for _kind, _detail in drain():
-            self.metrics.inc("serve/degradations")
-
-    def _drain_predictor_events(self) -> None:
-        """Fold drift-wrapper reactions into the live service state.
-
-        The simulator's predictor drain for a live stream: each queued
-        ``(kind, detail)`` pair (drift detection, retrain, fallback —
-        see :class:`~repro.predict.drift.DriftingPredictor`) counts as a
-        degradation plus a per-kind counter.  A ``predictor-fallback``
-        additionally clears the depository's forecast-error window: the
-        reprovision trigger must not fire later on the stale errors of a
-        model that just took itself offline.  Everything here is a
-        deterministic reaction to the request log, so a journal replay
-        reproduces it bit-for-bit (metrics are outside the fingerprint;
-        the window clear is inside and replays identically).
+        Every degradation — predictor fault, drift-wrapper reaction
+        (see :class:`~repro.predict.drift.DriftingPredictor`), watchdog
+        fallback — counts in ``serve/degradations`` plus a per-kind
+        counter.  A ``predictor-fallback`` additionally clears the
+        depository's forecast-error window: the reprovision trigger must
+        not fire later on the stale errors of a model that just took
+        itself offline.  Everything here is a deterministic reaction to
+        the request log, so a journal replay reproduces it bit-for-bit
+        (metrics are outside the fingerprint; the window clear is inside
+        and replays identically).
         """
-        drain = getattr(self.predictor, "drain_events", None)
-        if drain is None:
-            return
-        for kind, _detail in drain():
-            self.metrics.inc("serve/degradations")
-            self.metrics.inc(f"serve/{kind.replace('-', '_')}")
-            if kind == "predictor-fallback":
-                self.depository.clear_error_window()
+        self.metrics.inc("serve/degradations")
+        self.metrics.inc(f"serve/{event.kind.replace('-', '_')}")
+        if event.kind == "predictor-fallback":
+            self.depository.clear_error_window()
 
     def _record_metrics(
         self, status: str, latency: float, outcome: AdmissionOutcome | None
@@ -606,27 +531,8 @@ class AdmissionEngine:
         self._cooldown = self.config.reprovision_cooldown
         self.depository.mark_reprovisioned()
         self.metrics.inc("serve/reprovisions")
-        if not self.state.jobs:
-            return
-        context = RMContext(
-            time=decision_time,
-            platform=self.platform,
-            tasks=tuple(self.state.active_views()),
-            charge_unstarted_migration=(
-                self.config.charge_unstarted_migration
-            ),
-            down_resources=frozenset(self.state.down),
-        )
-        outcome = self._admission.remap(context)
-        self._drain_degradations()
-        if outcome.admitted and outcome.decision is not None:
-            self.state.apply_mapping(
-                {
-                    job_id: resource
-                    for job_id, resource in outcome.decision.mapping.items()
-                    if job_id < PREDICTED_JOB_ID
-                }
-            )
+        if self.state.jobs:
+            self._step.remap(decision_time)
 
     # ------------------------------------------------------------------
     # Reporting

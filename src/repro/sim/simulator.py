@@ -2,16 +2,24 @@
 
 Drives one :class:`~repro.workload.trace.Trace` through an
 :class:`~repro.core.admission.AdmissionController` on a
-:class:`~repro.model.platform.Platform`:
+:class:`~repro.model.platform.Platform`.  Each arrival is one
+:class:`~repro.sim.step.AdmissionStep` — the RM activation the live
+service (:class:`~repro.serve.server.AdmissionEngine`) runs too:
 
-1. advance platform execution to each request's arrival;
+1. advance platform execution to the request's arrival, applying any
+   outage boundary on the way (displaced jobs are re-admitted through
+   the step's ``remap``, or evicted);
 2. query the predictor for the next request (charging the configured
    prediction overhead as a decision delay, Sec. 5.5);
 3. build the RM context (``S-bar`` = active jobs + new arrival +
    predicted task) and run admission;
 4. apply the resulting mapping (migrations, aborts) or leave the old,
-   still-feasible plan in force on rejection;
-5. after the last arrival, drain the platform to completion.
+   still-feasible plan in force on rejection.
+
+Around the step the simulator keeps the trace-level bookkeeping — the
+outage walk, degradation and activation records, result totals,
+metrics — and, after the last arrival, drains the platform to
+completion.
 
 Admitted tasks never miss deadlines (firm real-time semantics are
 enforced by admission); the simulator asserts this invariant and raises
@@ -27,10 +35,8 @@ from typing import TYPE_CHECKING
 
 from repro.core.admission import AdmissionController
 from repro.core.base import MappingStrategy
-from repro.core.context import PREDICTED_JOB_ID, PlannedTask, RMContext
 from repro.faults.events import DegradationEvent
 from repro.model.platform import Platform
-from repro.model.request import PredictedRequest
 from repro.obs.events import (
     NULL_TRACER,
     CollectingTracer,
@@ -43,6 +49,7 @@ from repro.predict.base import NullPredictor, Predictor
 from repro.serve.clock import Clock
 from repro.sim.result import ActivationRecord, SimulationResult
 from repro.sim.state import PlatformState
+from repro.sim.step import AdmissionStep
 from repro.util.validation import check_non_negative
 from repro.workload.trace import Trace
 
@@ -244,107 +251,56 @@ class Simulator:
                 if etime > state.time:
                     state.advance(etime)
                 self._apply_outage(
-                    state, result, admission, etime, ekind, resource, tracer
+                    step, result, etime, ekind, resource, tracer
                 )
             state.advance(until)
 
+        step = AdmissionStep(
+            state,
+            admission,
+            self.predictor,
+            advance=advance_to,
+            degrade=lambda event: self._degrade(result, tracer, event),
+            lookahead=self.config.lookahead,
+            prediction_overhead=self.config.prediction_overhead,
+            fault_plan=plan,
+            tracer=tracer,
+        )
         for index, request in enumerate(trace):
-            # With a decision overhead, the previous activation may have
-            # finished *after* this request arrived; the RM handles
-            # arrivals in order, so this decision starts no earlier.
-            decision_time = max(request.arrival, state.time)
-            advance_to(decision_time)
-            predictions = self._safe_predictions(
-                trace, index, decision_time, result, tracer
-            )
-            if self.prediction_enabled and self.config.prediction_overhead > 0:
-                decision_time += self.config.prediction_overhead
-                advance_to(decision_time)
-                result.prediction_overhead_total += (
-                    self.config.prediction_overhead
-                )
-
-            new_task = PlannedTask(
-                job_id=request.index,
-                task=trace.task_of(request),
-                absolute_deadline=request.absolute_deadline,
-            )
-            tasks = [*state.active_views(), new_task]
-            predicted_views = [
-                self._predicted_view(trace, p, decision_time, offset)
-                for offset, p in enumerate(predictions)
-            ]
-            tasks.extend(predicted_views)
-            context = RMContext(
-                time=decision_time,
-                platform=self.platform,
-                tasks=tuple(tasks),
-                charge_unstarted_migration=(
-                    self.config.charge_unstarted_migration
-                ),
-                down_resources=frozenset(state.down),
-            )
-            outcome = admission.decide(context)
+            made = step.decide(trace, index, step.catch_up(request.arrival))
+            outcome = made.outcome
+            result.prediction_overhead_total += made.overhead
             result.solver_calls_total += outcome.solver_calls
-            self._drain_strategy_events(
-                admission, result, decision_time, index, tracer
-            )
-            if tracer.enabled:
-                tracer.emit(
-                    "admission-accept" if outcome.admitted
-                    else "admission-reject",
-                    time=decision_time,
-                    job_id=request.index,
-                    request_index=index,
-                    data=(
-                        ("context_size", len(context.tasks)),
-                        ("energy", (
-                            outcome.decision.energy
-                            if outcome.decision is not None
-                            else math.inf
-                        )),
-                        ("solver_calls", outcome.solver_calls),
-                        ("used_prediction", outcome.used_prediction),
-                    ),
-                )
             if metrics is not None:
                 metrics.observe(
                     "sim/context_size",
-                    len(context.tasks),
+                    made.context_size,
                     bounds=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
                 )
                 metrics.observe(
-                    "sim/decision_latency", decision_time - request.arrival
+                    "sim/decision_latency",
+                    made.decision_time - request.arrival,
+                )
+                metrics.gauge_max(
+                    "sim/peak_active_jobs", float(len(state.jobs))
                 )
             if outcome.admitted:
-                assert outcome.decision is not None
-                state.admit(request, trace.task_of(request))
-                real_mapping = {
-                    job_id: resource
-                    for job_id, resource in outcome.decision.mapping.items()
-                    if job_id < PREDICTED_JOB_ID
-                }
-                state.apply_mapping(real_mapping)
                 result.accepted.append(index)
                 if outcome.used_prediction:
                     result.predictions_used += 1
             else:
                 result.rejected.append(index)
-            if metrics is not None:
-                metrics.gauge_max(
-                    "sim/peak_active_jobs", float(len(state.jobs))
-                )
             if self.config.collect_records:
                 result.records.append(
                     ActivationRecord(
                         request_index=index,
                         arrival=request.arrival,
-                        decision_time=decision_time,
+                        decision_time=made.decision_time,
                         admitted=outcome.admitted,
                         used_prediction=outcome.used_prediction,
-                        had_prediction=bool(predicted_views),
+                        had_prediction=bool(made.predictions),
                         solver_calls=outcome.solver_calls,
-                        context_size=len(context.tasks),
+                        context_size=made.context_size,
                         planned_energy=(
                             outcome.decision.energy
                             if outcome.decision is not None
@@ -474,9 +430,8 @@ class Simulator:
 
     def _apply_outage(
         self,
-        state: PlatformState,
+        step: AdmissionStep,
         result: SimulationResult,
-        admission: AdmissionController,
         etime: float,
         kind: str,
         resource: int,
@@ -490,6 +445,7 @@ class Simulator:
         resources if the RM finds a feasible mapping, and is evicted
         otherwise — the firm-deadline analogue of rejecting an arrival.
         """
+        state = step.state
         if kind == "up":
             state.restore_resource(resource)
             self._degrade(
@@ -512,28 +468,9 @@ class Simulator:
             ),
         )
         for job in displaced:
-            views = [*state.active_views(), job.planned_view()]
-            context = RMContext(
-                time=state.time,
-                platform=self.platform,
-                tasks=tuple(views),
-                charge_unstarted_migration=(
-                    self.config.charge_unstarted_migration
-                ),
-                down_resources=frozenset(state.down),
-            )
-            outcome = admission.remap(context)
+            outcome = step.remap(etime, job)
             result.solver_calls_total += outcome.solver_calls
-            self._drain_strategy_events(admission, result, etime, None, tracer)
             if outcome.admitted:
-                assert outcome.decision is not None
-                state.readmit(job)
-                real_mapping = {
-                    job_id: target
-                    for job_id, target in outcome.decision.mapping.items()
-                    if job_id < PREDICTED_JOB_ID
-                }
-                state.apply_mapping(real_mapping)
                 self._degrade(
                     result,
                     tracer,
@@ -556,186 +493,6 @@ class Simulator:
                         detail="no feasible mapping on surviving resources",
                     ),
                 )
-
-    def _safe_predictions(
-        self,
-        trace: Trace,
-        index: int,
-        decision_time: float,
-        result: SimulationResult,
-        tracer: Tracer,
-    ) -> list[PredictedRequest]:
-        """Query the predictor, degrading on any fault.
-
-        Injected predictor faults (from the plan) and real predictor
-        misbehaviour (exceptions, invalid forecasts) both reduce to the
-        paper's no-prediction RM path: the activation plans without a
-        predicted task and the degradation is recorded on the result.
-        With tracing enabled, every query of a real predictor emits one
-        ``predictor-call`` event carrying the usable forecast count.
-        """
-        valid = self._query_predictor(
-            trace, index, decision_time, result, tracer
-        )
-        self._drain_predictor_events(result, decision_time, index, tracer)
-        if tracer.enabled and self.prediction_enabled:
-            tracer.emit(
-                "predictor-call",
-                time=decision_time,
-                request_index=index,
-                detail=type(self.predictor).__name__,
-                data=(("n_forecasts", len(valid)),),
-            )
-        return valid
-
-    def _query_predictor(
-        self,
-        trace: Trace,
-        index: int,
-        decision_time: float,
-        result: SimulationResult,
-        tracer: Tracer,
-    ) -> list[PredictedRequest]:
-        plan = self.config.fault_plan
-        injected = (
-            plan.predictor_fault_at(decision_time)
-            if plan is not None and self.prediction_enabled
-            else None
-        )
-        if injected in ("exception", "timeout"):
-            self._degrade(
-                result,
-                tracer,
-                DegradationEvent(
-                    time=decision_time,
-                    kind=f"predictor-{injected}",
-                    request_index=index,
-                    detail="injected fault; planning without prediction",
-                ),
-            )
-            return []
-        if injected == "garbage":
-            # An out-of-range forecast, fed through the same validation
-            # path a real garbage predictor would hit.
-            predictions: list[PredictedRequest] = [
-                PredictedRequest(
-                    arrival=decision_time,
-                    type_id=len(trace.tasks),
-                    deadline=1.0,
-                )
-            ]
-        else:
-            try:
-                predictions = list(
-                    self.predictor.predict_horizon(
-                        trace, index, self.config.lookahead
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 - degrade, don't die
-                self._degrade(
-                    result,
-                    tracer,
-                    DegradationEvent(
-                        time=decision_time,
-                        kind="predictor-exception",
-                        request_index=index,
-                        detail=f"{type(exc).__name__}: {exc}",
-                    ),
-                )
-                return []
-        valid: list[PredictedRequest] = []
-        for prediction in predictions:
-            problem = self._prediction_problem(trace, prediction)
-            if problem is None:
-                valid.append(prediction)
-            else:
-                self._degrade(
-                    result,
-                    tracer,
-                    DegradationEvent(
-                        time=decision_time,
-                        kind="predictor-garbage",
-                        request_index=index,
-                        detail=problem,
-                    ),
-                )
-        return valid
-
-    def _drain_predictor_events(
-        self,
-        result: SimulationResult,
-        time: float,
-        request_index: int | None,
-        tracer: Tracer,
-    ) -> None:
-        """Convert buffered predictor reactions into timestamped events.
-
-        Duck-typed on ``drain_events``, mirroring
-        :meth:`_drain_strategy_events`: the drift wrapper
-        (:class:`~repro.predict.drift.DriftingPredictor`) queues
-        ``(kind, detail)`` pairs — drift detections, retrains, the final
-        fallback — which become
-        :class:`~repro.faults.events.DegradationEvent` records anchored
-        at the activation that settled the offending forecast.
-        """
-        drain = getattr(self.predictor, "drain_events", None)
-        if drain is None:
-            return
-        for kind, detail in drain():
-            self._degrade(
-                result,
-                tracer,
-                DegradationEvent(
-                    time=time,
-                    kind=kind,
-                    request_index=request_index,
-                    detail=detail,
-                ),
-            )
-
-    @staticmethod
-    def _prediction_problem(
-        trace: Trace, prediction: PredictedRequest
-    ) -> str | None:
-        """Why a forecast is unusable, or ``None`` if it is fine."""
-        if not 0 <= prediction.type_id < len(trace.tasks):
-            return (
-                f"predicted type {prediction.type_id} outside the task set "
-                f"(0..{len(trace.tasks) - 1})"
-            )
-        if not math.isfinite(prediction.arrival):
-            return f"non-finite predicted arrival {prediction.arrival}"
-        if not math.isfinite(prediction.deadline) or prediction.deadline <= 0:
-            return f"invalid predicted deadline {prediction.deadline}"
-        return None
-
-    @staticmethod
-    def _drain_strategy_events(
-        admission: AdmissionController,
-        result: SimulationResult,
-        time: float,
-        request_index: int | None,
-        tracer: Tracer,
-    ) -> None:
-        """Convert buffered watchdog degradations into timestamped events.
-
-        Duck-typed on ``drain_events`` so any strategy wrapper (not just
-        :class:`~repro.faults.watchdog.SolverWatchdog`) can report.
-        """
-        drain = getattr(admission.strategy, "drain_events", None)
-        if drain is None:
-            return
-        for kind, detail in drain():
-            Simulator._degrade(
-                result,
-                tracer,
-                DegradationEvent(
-                    time=time,
-                    kind=kind,
-                    request_index=request_index,
-                    detail=detail,
-                ),
-            )
 
     def _verify(self, trace: Trace, result: SimulationResult) -> None:
         """Replay the execution log through the independent invariant
@@ -761,27 +518,6 @@ class Simulator:
             result.execution_log = []
         if not report.ok:
             raise VerificationError(report)
-
-    def _predicted_view(
-        self,
-        trace: Trace,
-        prediction: PredictedRequest,
-        decision_time: float,
-        offset: int = 0,
-    ) -> PlannedTask:
-        """Convert a prediction into the RM's planning task."""
-        if not 0 <= prediction.type_id < len(trace.tasks):
-            raise ValueError(
-                f"predicted type {prediction.type_id} outside the task set"
-            )
-        arrival = max(prediction.arrival, decision_time)
-        return PlannedTask(
-            job_id=PREDICTED_JOB_ID + offset,
-            task=trace.tasks[prediction.type_id],
-            absolute_deadline=arrival + prediction.deadline,
-            is_predicted=True,
-            arrival=arrival,
-        )
 
 
 def simulate(

@@ -20,6 +20,8 @@ async def handle_connection(self, engine, request):
     engine.jobs[request.id] = request
     self.engine.record_shed(request.tenant)
     engine.depository.record_completion(request.tenant, 1.0)
+    engine._step.catch_up(request.arrival)  # the shared admission step
+    engine._step.remap(request.arrival)
     snapshot = engine.snapshot()  # read-only access stays legal
     return snapshot
 

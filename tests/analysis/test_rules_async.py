@@ -87,9 +87,10 @@ class TestSharedStateRule:
             FIXTURES / "bad_shared_state.py", module=self.MODULE
         )
         assert rules_of(findings) == {"RPR103"}
-        # attribute assign + subscript write + two mutator calls; the
-        # dispatcher's own mutations and read-only access stay silent.
-        assert len(findings) == 4
+        # attribute assign + subscript write + four mutator calls (two
+        # on the engine's shared admission step); the dispatcher's own
+        # mutations and read-only access stay silent.
+        assert len(findings) == 6
 
     def test_outside_serve_modules_is_clean(self):
         findings = lint_file(

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.predict.metrics import nrmse, type_accuracy
@@ -28,8 +28,9 @@ def _reference_nrmse(predicted, actual, norm=None):
     p = np.asarray(predicted, dtype=float)
     a = np.asarray(actual, dtype=float)
     if norm is None:
-        gaps = np.diff(a)
-        mean_gap = float(gaps.mean()) if gaps.size else 0.0
+        # The mean first difference, telescoped exactly (a pairwise
+        # ``np.diff(a).mean()`` can round a true 0 to a tiny positive).
+        mean_gap = float((a[-1] - a[0]) / (a.size - 1)) if a.size > 1 else 0.0
         norm = mean_gap if mean_gap > 0 else 1.0
     return float(np.sqrt(np.mean((p - a) ** 2)) / norm)
 
@@ -41,6 +42,15 @@ class TestNrmseProperties:
         )
     )
     @settings(max_examples=100, deadline=None)
+    # A net-flat series: summing its gaps pairwise rounds the true mean
+    # of 0 up to ~4e-16, so the default norm must come from the exact
+    # telescoped form and fall back to 1.0.
+    @example(
+        pairs=[
+            (0.0, a)
+            for a in (0.0, 0.0, 0.0, 0.0, 0.99999, 0.0, 33.0, 0.0, 0.0)
+        ]
+    )
     def test_matches_bruteforce_default_norm(self, pairs):
         predicted = [p for p, _ in pairs]
         actual = [a for _, a in pairs]
