@@ -91,10 +91,8 @@ from repro.predict import (
     evaluate_predictor,
 )
 from repro.registry import (
-    register_clock,
     register_predictor,
     register_strategy,
-    resolve_clock,
     resolve_predictor,
     resolve_strategy,
 )
@@ -169,10 +167,8 @@ __all__ = [
     # registry
     "resolve_strategy",
     "resolve_predictor",
-    "resolve_clock",
     "register_strategy",
     "register_predictor",
-    "register_clock",
     # serve
     "Clock",
     "VirtualClock",

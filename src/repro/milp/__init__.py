@@ -10,6 +10,12 @@ modelling libraries:
   HiGHS solver;
 * :mod:`~repro.milp.bnb` — a pure-Python branch-and-bound solver over the
   LP relaxation, used to cross-validate the HiGHS results in tests.
+
+The package exports only the modelling layer.  :meth:`Model.solve
+<repro.milp.model.Model.solve>` imports the chosen backend on first use,
+so importing :mod:`repro.milp` (and every resource manager built on it)
+does not load scipy until a MILP is actually solved.  Import the backend
+functions from their submodules.
 """
 
 from repro.milp.model import (
@@ -20,8 +26,6 @@ from repro.milp.model import (
     SolveStatus,
     Variable,
 )
-from repro.milp.scipy_backend import solve_with_scipy
-from repro.milp.bnb import solve_with_bnb
 
 __all__ = [
     "Model",
@@ -30,6 +34,4 @@ __all__ = [
     "Constraint",
     "Solution",
     "SolveStatus",
-    "solve_with_scipy",
-    "solve_with_bnb",
 ]

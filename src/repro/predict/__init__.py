@@ -20,25 +20,11 @@ expected request.  This package provides:
 * :class:`~repro.predict.drift.DriftingPredictor` — the online-learning
   wrapper: Page-Hinkley + windowed-NRMSE drift detection, incremental
   retraining, fallback to the no-prediction path (DESIGN.md §16);
-* :mod:`~repro.predict.demand` — per-task resource-demand time-series
-  forecasting (:class:`~repro.predict.demand.DemandPredictor` with
-  EWMA / Holt-Winters / AR(p) implementations) and the Lotaru-style
-  :class:`~repro.predict.demand.LotaruRuntimeEstimator` for
-  heterogeneous platforms;
 * :func:`~repro.predict.metrics.evaluate_predictor` — type accuracy and
   normalised arrival error of any predictor over any trace.
 """
 
 from repro.predict.base import NullPredictor, OnlinePredictor, Predictor
-from repro.predict.demand import (
-    ArDemandPredictor,
-    DemandPredictor,
-    EwmaDemandPredictor,
-    HoltWintersDemandPredictor,
-    LotaruRuntimeEstimator,
-    demand_series,
-    fit_ar_coefficients,
-)
 from repro.predict.drift import DriftingPredictor, PageHinkley, WindowedNrmse
 from repro.predict.interarrival import (
     ArInterarrival,
@@ -47,6 +33,7 @@ from repro.predict.interarrival import (
     MeanInterarrival,
     SeasonalInterarrival,
     TwoPhaseInterarrival,
+    fit_ar_coefficients,
 )
 from repro.predict.markov import (
     ComposedPredictor,
@@ -86,12 +73,6 @@ __all__ = [
     "DriftingPredictor",
     "PageHinkley",
     "WindowedNrmse",
-    "DemandPredictor",
-    "EwmaDemandPredictor",
-    "HoltWintersDemandPredictor",
-    "ArDemandPredictor",
-    "LotaruRuntimeEstimator",
-    "demand_series",
     "fit_ar_coefficients",
     "ScriptedPredictor",
     "PredictionReport",

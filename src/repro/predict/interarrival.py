@@ -19,7 +19,7 @@ Two time-series models back the richer predictors of the online
 learning suite (DESIGN.md §16):
 
 * :class:`ArInterarrival` — an AR(p) fit over a sliding gap window
-  (closed-form ridge least squares, :mod:`repro.predict.demand`);
+  (closed-form ridge least squares, :func:`fit_ar_coefficients`);
 * :class:`SeasonalInterarrival` — Holt-Winters-style additive seasonal
   smoothing of the gap sequence, for workloads with periodic cadence.
 """
@@ -28,6 +28,9 @@ from __future__ import annotations
 
 import abc
 import collections
+from typing import Sequence
+
+import numpy as np
 
 from repro.util.validation import (
     check_in_range,
@@ -42,6 +45,7 @@ __all__ = [
     "TwoPhaseInterarrival",
     "ArInterarrival",
     "SeasonalInterarrival",
+    "fit_ar_coefficients",
 ]
 
 
@@ -203,13 +207,59 @@ class TwoPhaseInterarrival(InterarrivalModel):
         return len(self._table)
 
 
+def fit_ar_coefficients(
+    series: Sequence[float] | np.ndarray,
+    order: int,
+    *,
+    ridge: float = 1e-6,
+) -> np.ndarray:
+    """Fit AR(``order``) coefficients to a scalar series.
+
+    Returns ``[intercept, c_1, ..., c_p]`` where ``c_1`` weights the
+    most recent lag: the one-step forecast is
+    ``intercept + sum(c_k * x[t - k])``.  The fit solves the
+    ridge-regularised normal equations — a deterministic closed-form
+    linear solve, unlike iterative or driver-dependent least squares.
+
+    Requires at least ``order + 1`` samples (one usable regression row).
+    """
+    check_positive("order", order)
+    check_non_negative("ridge", ridge)
+    values = np.asarray(series, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"series must be 1-D, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("series must be finite")
+    n_rows = values.size - order
+    if n_rows < 1:
+        raise ValueError(
+            f"need at least order + 1 = {order + 1} samples to fit AR"
+            f"({order}), got {values.size}"
+        )
+    # Row t regresses x[t] on [1, x[t-1], ..., x[t-p]].
+    design = np.ones((n_rows, order + 1))
+    for lag in range(1, order + 1):
+        design[:, lag] = values[order - lag : order - lag + n_rows]
+    target = values[order:]
+    gram = design.T @ design + ridge * np.eye(order + 1)
+    coefficients: np.ndarray = np.linalg.solve(gram, design.T @ target)
+    return coefficients
+
+
+def _predict_ar(coefficients: np.ndarray, recent: np.ndarray) -> float:
+    """One-step AR forecast from ``recent`` (oldest first)."""
+    order = coefficients.size - 1
+    lags = recent[-order:][::-1]  # c_1 weights the newest sample
+    return float(coefficients[0] + coefficients[1:] @ lags)
+
+
 class ArInterarrival(InterarrivalModel):
     """AR(p) over the recent gap history.
 
     Keeps the last ``window`` gaps; the forecast fits AR(``order``)
     coefficients by closed-form ridge least squares
-    (:func:`repro.predict.demand.fit_ar_coefficients`) and extrapolates
-    one step, clamped at zero.  With fewer than ``order + 1`` retained
+    (:func:`fit_ar_coefficients`) and extrapolates one step, clamped at
+    zero.  With fewer than ``order + 1`` retained
     gaps it degrades to the running mean of what it has; with none it
     abstains.
     """
@@ -238,12 +288,6 @@ class ArInterarrival(InterarrivalModel):
         self._gaps.append(gap)
 
     def forecast(self) -> float | None:
-        # Imported lazily to keep module import costs flat for callers
-        # that never touch the AR model (numpy-free paths).
-        from repro.predict.demand import fit_ar_coefficients, _predict_ar
-
-        import numpy as np
-
         if not self._gaps:
             return None
         if len(self._gaps) < self.order + 1:

@@ -27,12 +27,6 @@ from repro.core.exact import ExactResourceManager
 from repro.core.heuristic import HeuristicResourceManager
 from repro.core.milp_rm import MilpResourceManager
 from repro.predict.base import NullPredictor, Predictor
-from repro.predict.demand import (
-    ArDemandPredictor,
-    DemandPredictor,
-    EwmaDemandPredictor,
-    HoltWintersDemandPredictor,
-)
 from repro.predict.drift import DriftingPredictor
 from repro.predict.markov import (
     ComposedPredictor,
@@ -41,25 +35,16 @@ from repro.predict.markov import (
 )
 from repro.predict.noisy import ArrivalNoisePredictor, TypeNoisePredictor
 from repro.predict.oracle import OraclePredictor
-from repro.serve.clock import Clock, VirtualClock, WallClock
 
 __all__ = [
-    "CLOCKS",
-    "DEMAND_PREDICTORS",
     "STRATEGIES",
     "PREDICTORS",
     "PredictorFactory",
     "StrategyFactory",
-    "clock_names",
-    "demand_predictor_names",
     "predictor_factory",
     "predictor_names",
-    "register_clock",
-    "register_demand_predictor",
     "register_predictor",
     "register_strategy",
-    "resolve_clock",
-    "resolve_demand_predictor",
     "resolve_predictor",
     "resolve_strategy",
     "strategy_factory",
@@ -84,21 +69,6 @@ _PREDICTORS: dict[str, Callable[..., Predictor]] = {
     "drift": DriftingPredictor,
 }
 
-#: Demand-vector forecasters (DESIGN.md §16) — a separate namespace
-#: from the request predictors: they answer "how much of each resource
-#: next", not "which request next", so a name like ``"ar"`` may appear
-#: in both tables without ambiguity.
-_DEMAND_PREDICTORS: dict[str, Callable[..., DemandPredictor]] = {
-    "ewma": EwmaDemandPredictor,
-    "holt-winters": HoltWintersDemandPredictor,
-    "ar": ArDemandPredictor,
-}
-
-_CLOCKS: dict[str, Callable[..., Clock]] = {
-    "virtual": VirtualClock,
-    "wall": WallClock,
-}
-
 #: Read-only views for introspection (`dict(STRATEGIES)` to copy).
 STRATEGIES: Mapping[str, Callable[..., MappingStrategy]] = MappingProxyType(
     _STRATEGIES
@@ -106,10 +76,6 @@ STRATEGIES: Mapping[str, Callable[..., MappingStrategy]] = MappingProxyType(
 PREDICTORS: Mapping[str, Callable[..., Predictor]] = MappingProxyType(
     _PREDICTORS
 )
-DEMAND_PREDICTORS: Mapping[str, Callable[..., DemandPredictor]] = (
-    MappingProxyType(_DEMAND_PREDICTORS)
-)
-CLOCKS: Mapping[str, Callable[..., Clock]] = MappingProxyType(_CLOCKS)
 
 
 def strategy_names() -> list[str]:
@@ -120,16 +86,6 @@ def strategy_names() -> list[str]:
 def predictor_names() -> list[str]:
     """All registered predictor names, sorted."""
     return sorted(_PREDICTORS)
-
-
-def demand_predictor_names() -> list[str]:
-    """All registered demand-predictor names, sorted."""
-    return sorted(_DEMAND_PREDICTORS)
-
-
-def clock_names() -> list[str]:
-    """All registered clock names, sorted."""
-    return sorted(_CLOCKS)
 
 
 def register_strategy(
@@ -160,30 +116,6 @@ def register_predictor(
     _PREDICTORS[name] = constructor
 
 
-def register_demand_predictor(
-    name: str,
-    constructor: Callable[..., DemandPredictor],
-    *,
-    overwrite: bool = False,
-) -> None:
-    """Add a demand-predictor constructor to the registry."""
-    if name in _DEMAND_PREDICTORS and not overwrite:
-        raise ValueError(f"demand predictor {name!r} is already registered")
-    _DEMAND_PREDICTORS[name] = constructor
-
-
-def register_clock(
-    name: str,
-    constructor: Callable[..., Clock],
-    *,
-    overwrite: bool = False,
-) -> None:
-    """Add a clock constructor to the registry."""
-    if name in _CLOCKS and not overwrite:
-        raise ValueError(f"clock {name!r} is already registered")
-    _CLOCKS[name] = constructor
-
-
 def resolve_strategy(name: str, **kwargs: Any) -> MappingStrategy:
     """Build a fresh strategy instance from its registry name."""
     try:
@@ -206,37 +138,6 @@ def resolve_predictor(name: str, **kwargs: Any) -> Predictor:
     except KeyError:
         raise ValueError(
             f"unknown predictor {name!r}; choose from {predictor_names()}"
-        ) from None
-    return constructor(**kwargs)
-
-
-def resolve_demand_predictor(name: str, **kwargs: Any) -> DemandPredictor:
-    """Build a fresh demand predictor from its registry name.
-
-    ``kwargs`` are forwarded to the constructor (e.g. ``alpha`` for the
-    EWMA, ``period`` for Holt-Winters, ``order`` for the AR model).
-    """
-    try:
-        constructor = _DEMAND_PREDICTORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown demand predictor {name!r}; choose from "
-            f"{demand_predictor_names()}"
-        ) from None
-    return constructor(**kwargs)
-
-
-def resolve_clock(name: str, **kwargs: Any) -> Clock:
-    """Build a fresh clock instance from its registry name.
-
-    ``kwargs`` are forwarded to the constructor (e.g. ``speed`` for the
-    wall clock, ``start`` for the virtual clock).
-    """
-    try:
-        constructor = _CLOCKS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown clock {name!r}; choose from {clock_names()}"
         ) from None
     return constructor(**kwargs)
 

@@ -1,4 +1,4 @@
-"""Scheduling substrate: per-resource EDF timelines and feasibility.
+"""Scheduling substrate: per-resource EDF timelines.
 
 The resource managers in :mod:`repro.core` decide *mappings*; given a
 mapping, the schedule on each resource is fully determined by the rules of
@@ -12,9 +12,10 @@ Sec. 4.1 of the paper:
   must run first and nothing is ever preempted.
 
 :func:`~repro.sched.timeline.build_timeline` simulates exactly these rules
-for one resource and reports per-task finish times, which is how both the
-heuristic's ``IsSchedulable`` and the validation of MILP solutions are
-implemented.
+for one resource and reports per-task finish times; the validation of MILP
+solutions replays it directly.  :class:`~repro.sched.timeline.Timeline`
+keeps the same schedule incrementally and answers the heuristic's
+``IsSchedulable`` probes.
 """
 
 from repro.sched.timeline import (
@@ -25,8 +26,6 @@ from repro.sched.timeline import (
     Timeline,
     build_timeline,
 )
-from repro.sched.feasibility import check_resource_feasible, latest_finish
-from repro.sched.edf import edf_order
 
 __all__ = [
     "ReadyJob",
@@ -35,7 +34,4 @@ __all__ = [
     "ResourceTimeline",
     "Timeline",
     "build_timeline",
-    "check_resource_feasible",
-    "latest_finish",
-    "edf_order",
 ]

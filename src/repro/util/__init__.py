@@ -1,16 +1,12 @@
-"""Shared utilities: seeded RNG streams, validation and ASCII reporting.
+"""Shared utilities: seeded RNG streams, validation, ASCII reporting and
+atomic file writes.
 
 These helpers are deliberately dependency-light so every other subpackage
-can import them without cycles.
+can import them without cycles.  Nothing here imports scipy: the package
+sits on the import path of every entry point, the live server included.
 """
 
 from repro.util.rng import RngStreams, derive_seed
-from repro.util.stats import (
-    Interval,
-    binomial_confidence_interval,
-    mean_confidence_interval,
-    paired_difference,
-)
 from repro.util.tables import ascii_bar_chart, ascii_table, format_float
 from repro.util.validation import (
     check_finite,
@@ -29,8 +25,4 @@ __all__ = [
     "check_non_negative",
     "check_in_range",
     "check_finite",
-    "Interval",
-    "mean_confidence_interval",
-    "paired_difference",
-    "binomial_confidence_interval",
 ]

@@ -278,7 +278,7 @@ class TestRngTaint:
             "    return rng\n"
             "coeffs = fit_ar([1.0])\n"
         )
-        findings = lint_source(source, module="repro.predict.demand")
+        findings = lint_source(source, module="repro.predict.interarrival")
         assert rules_of(findings) == {"RPR001"}
         assert lines_of(findings, "RPR001") == [5]
 

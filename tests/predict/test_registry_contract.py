@@ -1,24 +1,18 @@
 """Registry-wide predictor contracts.
 
-Every predictor reachable through :mod:`repro.registry` must honour the
-``reset()`` contract: after a reset, replaying the same trace reproduces
-the first run's forecasts **bit-for-bit**.  The golden digests and the
-admission-journal recovery both lean on this — a predictor that carries
-hidden state across resets would replay differently after a crash.
+Every request predictor reachable through :mod:`repro.registry` must
+honour the ``reset()`` contract: after a reset, replaying the same trace
+reproduces the first run's forecasts **bit-for-bit**.  The golden digests
+and the admission-journal recovery both lean on this — a predictor that
+carries hidden state across resets would replay differently after a
+crash.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.registry import (
-    DEMAND_PREDICTORS,
-    demand_predictor_names,
-    predictor_names,
-    resolve_demand_predictor,
-    resolve_predictor,
-)
+from repro.registry import predictor_names, resolve_predictor
 
 #: Constructor knobs needed beyond the defaults, per registry name.
 PREDICTOR_KWARGS: dict[str, dict] = {
@@ -57,25 +51,6 @@ def test_fresh_instance_matches_reset_instance(name, tiny_trace):
     reused.reset()
     fresh = resolve_predictor(name, **kwargs)
     assert _forecasts(reused, tiny_trace) == _forecasts(fresh, tiny_trace)
-
-
-@pytest.mark.parametrize("name", demand_predictor_names())
-def test_demand_predictor_reset_contract(name):
-    predictor = resolve_demand_predictor(name)
-    rng = np.random.default_rng(17)
-    series = rng.uniform(0.0, 8.0, size=(40, 3))
-    for vector in series:
-        predictor.observe(vector)
-    first = predictor.forecast(horizon=4)
-    predictor.reset()
-    for vector in series:
-        predictor.observe(vector)
-    assert np.array_equal(predictor.forecast(horizon=4), first)
-
-
-def test_demand_registry_views_consistent():
-    assert sorted(DEMAND_PREDICTORS) == demand_predictor_names()
-    assert set(demand_predictor_names()) >= {"ar", "ewma", "holt-winters"}
 
 
 def test_registry_names_cover_the_new_suite():

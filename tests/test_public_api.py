@@ -40,6 +40,31 @@ class TestPublicApi:
             [sys.executable, "-c", probe], check=True, timeout=120
         )
 
+    def test_only_a_milp_solve_loads_scipy(self):
+        # The server and heuristic replays never touch scipy; the MILP
+        # backend is imported on the first solve that needs it.
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys\n"
+            "import repro.serve.server\n"
+            "assert 'scipy' not in sys.modules, 'server import'\n"
+            "from repro import (DeadlineGroup, Platform, TraceConfig,\n"
+            "    generate_task_set, generate_trace, simulate)\n"
+            "platform = Platform.cpu_gpu(n_cpus=5, n_gpus=1)\n"
+            "trace = generate_trace(generate_task_set(platform),\n"
+            "    TraceConfig(group=DeadlineGroup.VT, n_requests=30))\n"
+            "simulate(trace, platform, 'heuristic', 'oracle')\n"
+            "assert 'scipy' not in sys.modules, 'heuristic simulate'\n"
+            "result = simulate(trace, platform, 'milp', 'oracle')\n"
+            "assert 'scipy.optimize' in sys.modules, 'milp backend'\n"
+            "assert result.n_accepted > 0, 'milp solved nothing'\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", probe], check=True, timeout=120
+        )
+
     def test_serve_classes_importable_from_top_level(self):
         from repro import (
             AdmissionServer,

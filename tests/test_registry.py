@@ -139,48 +139,3 @@ class TestRegistration:
     def test_public_views_are_read_only(self):
         with pytest.raises(TypeError):
             STRATEGIES["hacked"] = HeuristicResourceManager  # type: ignore[index]
-
-
-class TestClockRegistry:
-    def test_clock_names(self):
-        from repro.registry import clock_names
-
-        assert clock_names() == ["virtual", "wall"]
-
-    def test_resolve_virtual(self):
-        from repro.registry import resolve_clock
-        from repro.serve.clock import VirtualClock
-
-        clock = resolve_clock("virtual", start=2.0)
-        assert isinstance(clock, VirtualClock)
-        assert clock.now() == 2.0
-
-    def test_resolve_wall_with_speed(self):
-        from repro.registry import resolve_clock
-        from repro.serve.clock import WallClock
-
-        clock = resolve_clock("wall", speed=50.0)
-        assert isinstance(clock, WallClock)
-        assert clock.speed == 50.0
-
-    def test_unknown_clock(self):
-        from repro.registry import resolve_clock
-
-        with pytest.raises(ValueError, match="unknown clock"):
-            resolve_clock("sundial")
-
-    def test_register_clock(self):
-        import repro.registry as registry
-        from repro.registry import register_clock, resolve_clock
-        from repro.serve.clock import VirtualClock
-
-        class FrozenClock(VirtualClock):
-            pass
-
-        register_clock("frozen-test", FrozenClock)
-        try:
-            assert isinstance(resolve_clock("frozen-test"), FrozenClock)
-            with pytest.raises(ValueError, match="already registered"):
-                register_clock("frozen-test", FrozenClock)
-        finally:
-            registry._CLOCKS.pop("frozen-test", None)
