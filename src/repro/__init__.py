@@ -21,7 +21,7 @@ Quick start::
 
 Strategies and predictors are resolvable by registry name
 (:mod:`repro.registry`), and experiment sweeps run in parallel with
-``run_matrix(..., parallel=ParallelConfig(jobs=N))``.
+``run_matrix(..., parallel=N)``.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
@@ -56,7 +56,6 @@ from repro.analysis.invariants import (
     Violation,
     verify_result,
 )
-from repro.experiments.executor import ParallelConfig
 from repro.experiments.runner import Aggregate, RunSpec, run_matrix
 from repro.faults import (
     DegradationEvent,
@@ -180,7 +179,6 @@ __all__ = [
     "RunSpec",
     "Aggregate",
     "run_matrix",
-    "ParallelConfig",
     # faults
     "FaultPlan",
     "ResourceOutage",

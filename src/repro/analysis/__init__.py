@@ -6,8 +6,8 @@ Two independent safety nets sit on top of the library:
   replays a :class:`~repro.sim.result.SimulationResult` execution log
   and re-checks the paper's MILP constraints (eqs. (1)-(14)) without
   trusting the simulator's own bookkeeping.  Opt in with
-  ``SimulationConfig(verify=True)``, per-cell via the experiment
-  executor, or from the ``repro analyze`` CLI subcommand.
+  ``SimulationConfig(verify=True)``, per-cell via ``run_matrix(verify=True)``,
+  or from the ``repro analyze`` CLI subcommand.
 * :mod:`repro.analysis.lint` — a pluggable AST/project lint engine
   (:mod:`repro.analysis.engine`) encoding repo-specific rules a generic
   linter cannot express.  Three rule families: determinism and

@@ -35,7 +35,6 @@ import sys
 from pathlib import Path
 
 from repro.experiments.config import HarnessScale
-from repro.experiments.executor import ParallelConfig
 from repro.registry import (
     predictor_names,
     resolve_predictor,
@@ -479,16 +478,13 @@ def _cmd_experiment(args) -> int:
     scale = HarnessScale(
         n_traces=args.traces, n_requests=args.requests, master_seed=args.seed
     )
-    # jobs == 1 keeps the historical in-process path; anything else goes
-    # through the parallel executor (0 = one worker per core).
-    parallel = None if args.jobs == 1 else ParallelConfig(jobs=args.jobs)
     if args.id == "all":
         from repro.experiments.report_all import run_all
 
         report = run_all(
             scale,
             progress=lambda name: print(f"... {name}"),
-            parallel=parallel,
+            parallel=args.jobs,
         )
         print(report.render())
         if args.out is not None:
@@ -501,7 +497,7 @@ def _cmd_experiment(args) -> int:
             run_motivational,
         )
 
-        print(render_motivational(run_motivational(parallel=parallel)))
+        print(render_motivational(run_motivational(parallel=args.jobs)))
         return 0
     if args.id == "sec52":
         from repro.experiments.sec52_milp_vs_heuristic import (
@@ -509,7 +505,7 @@ def _cmd_experiment(args) -> int:
             run_sec52,
         )
 
-        print(render_sec52(run_sec52(scale, parallel=parallel)))
+        print(render_sec52(run_sec52(scale, parallel=args.jobs)))
         return 0
     if args.id in ("fig2", "fig3"):
         from repro.experiments.fig2_rejection import (
@@ -518,8 +514,8 @@ def _cmd_experiment(args) -> int:
         )
         from repro.experiments.fig3_energy import render_fig3
 
-        lt = run_prediction_impact(DeadlineGroup.LT, scale, parallel=parallel)
-        vt = run_prediction_impact(DeadlineGroup.VT, scale, parallel=parallel)
+        lt = run_prediction_impact(DeadlineGroup.LT, scale, parallel=args.jobs)
+        vt = run_prediction_impact(DeadlineGroup.VT, scale, parallel=args.jobs)
         print(render_fig2(lt, vt) if args.id == "fig2" else render_fig3(lt, vt))
         return 0
     if args.id == "fig4":
@@ -530,8 +526,8 @@ def _cmd_experiment(args) -> int:
 
         print(
             render_fig4(
-                run_accuracy_sweep("type", scale, parallel=parallel),
-                run_accuracy_sweep("arrival", scale, parallel=parallel),
+                run_accuracy_sweep("type", scale, parallel=args.jobs),
+                run_accuracy_sweep("arrival", scale, parallel=args.jobs),
             )
         )
         return 0
@@ -541,7 +537,7 @@ def _cmd_experiment(args) -> int:
             run_overhead_sweep,
         )
 
-        print(render_fig5(run_overhead_sweep(scale, parallel=parallel)))
+        print(render_fig5(run_overhead_sweep(scale, parallel=args.jobs)))
         return 0
     raise AssertionError(f"unhandled experiment {args.id}")  # pragma: no cover
 
@@ -576,12 +572,11 @@ def _cmd_predict(args) -> int:
     scale = HarnessScale(
         n_traces=args.traces, n_requests=args.requests, master_seed=args.seed
     )
-    parallel = None if args.jobs == 1 else ParallelConfig(jobs=args.jobs)
     result = run_frontier(
         scale,
         strategy=args.strategy,
         group=DeadlineGroup(args.group),
-        parallel=parallel,
+        parallel=args.jobs,
     )
     if args.json:
         print(json.dumps(

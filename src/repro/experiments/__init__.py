@@ -15,10 +15,9 @@ One module per table/figure (see DESIGN.md's experiment index):
 Every experiment accepts a :class:`~repro.experiments.config.HarnessScale`
 and defaults to a reduced configuration controlled by ``REPRO_TRACES`` /
 ``REPRO_REQUESTS`` / ``REPRO_FULL`` / ``REPRO_SEED``.  Passing
-``parallel=ParallelConfig(jobs=N)`` (or ``--jobs N`` on the CLI) fans
-the (configuration x trace) matrix out over worker processes with
-results bit-identical to the serial path
-(:mod:`repro.experiments.executor`).
+``parallel=N`` (or ``--jobs N`` on the CLI) maps the (configuration x
+trace) matrix over N worker processes with results bit-identical to the
+in-process run (:func:`~repro.experiments.runner.run_matrix`).
 """
 
 from repro.experiments.config import CALIBRATED_ARRIVAL_SCALE, HarnessScale
@@ -28,7 +27,6 @@ from repro.experiments.common import (
     standard_traces,
     strategy_factory,
 )
-from repro.experiments.executor import ParallelConfig, execute_matrix
 from repro.experiments.fig2_rejection import (
     PredictionImpactResult,
     render_fig2,
@@ -66,7 +64,6 @@ from repro.experiments.motivational import (
 from repro.experiments.report_all import FullReport, run_all
 from repro.experiments.runner import (
     Aggregate,
-    CellFailure,
     CellStats,
     RunSpec,
     run_matrix,
@@ -86,10 +83,7 @@ __all__ = [
     "strategy_factory",
     "RunSpec",
     "Aggregate",
-    "CellFailure",
     "CellStats",
-    "ParallelConfig",
-    "execute_matrix",
     "run_matrix",
     "run_all",
     "FullReport",

@@ -1,12 +1,13 @@
 """Journal-based experiment checkpointing (crash-safe resume).
 
 A matrix run that dies hours in — machine reboot, OOM kill, ctrl-C —
-should not cost the cells that already finished.  The executor can be
-given a checkpoint path (``execute_matrix(..., checkpoint=...)``); it
-then appends one JSON line per *final* cell outcome (success or
-exhausted failure) to an append-only journal, flushed as written, so a
-killed run can be restarted with the same arguments and the same journal
-and will re-execute only the incomplete cells.
+should not cost the cells that already finished.
+:func:`~repro.experiments.runner.run_matrix` can be given a checkpoint
+path (``run_matrix(..., checkpoint=...)``), at any worker count; it then
+appends one JSON line per finished cell to an append-only journal,
+flushed as written, so a killed run can be restarted with the same
+arguments and the same journal and will re-execute only the incomplete
+cells.
 
 Why a journal and not a snapshot: appends are atomic at the line level,
 never rewrite completed work, and a torn final line (the crash happened
@@ -15,15 +16,15 @@ mid-write) is detected and dropped on load without losing the prefix.
 Format (one JSON object per line):
 
 * header — ``{"magic": "repro-checkpoint-v1", "fingerprint": ...}``; the
-  fingerprint digests the platform, spec labels/configs and traces, and
-  a resume against a journal from a *different* matrix is refused.
-* success — ``{"spec": i, "trace": j, "ok": true, "rejection_hex": ...,
+  fingerprint digests the platform, each spec's label, strategy and
+  predictor identity and simulator config, and the traces; a resume
+  against a journal from a *different* matrix is refused.
+* cell — exactly the record :meth:`~repro.experiments.runner.Aggregate.fold`
+  consumes: ``{"spec": i, "trace": j, "rejection_hex": ...,
   "energy_hex": ..., "wall_time": ..., "solver_calls": ...,
-  "attempts": ..., "verified": ..., "retry_delays": [...]}``.  The two
-  metrics are stored as ``float.hex()`` so resumed aggregates are
-  **bit-identical** to an uninterrupted run.
-* failure — ``{"spec": i, "trace": j, "ok": false, "error": ...,
-  "attempts": ..., "retry_delays": [...]}``.
+  "verified": ..., "metrics": ...}`` (``metrics`` only when collected).
+  The two metrics are stored as ``float.hex()`` so resumed aggregates
+  are **bit-identical** to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import hashlib
 import json
 import math
 import os
-from typing import IO, Sequence
+import types
+from typing import IO, Any, Sequence
 
 from repro.experiments.runner import RunSpec
 from repro.model.platform import Platform
@@ -54,14 +56,21 @@ def compute_fingerprint(
 ) -> str:
     """Digest the matrix identity a journal belongs to.
 
-    Covers the platform layout, every spec's label and simulator config,
-    and every trace's full request stream (``float.hex`` encoded, so two
-    numerically different matrices never collide on rounding).
+    Covers the platform layout, every spec's label, strategy and
+    predictor identity (see :func:`_factory_identity`) and simulator
+    config, and every trace's full request stream (``float.hex``
+    encoded, so two numerically different matrices never collide on
+    rounding).
     """
     digest = hashlib.sha256()
     digest.update(repr(platform).encode())
     for spec in specs:
-        digest.update(f"|spec:{spec.label}:{spec.sim_config!r}".encode())
+        strategy = _factory_identity(spec.label, spec.strategy)
+        predictor = _factory_identity(spec.label, spec.predictor)
+        digest.update(
+            f"|spec:{spec.label}:{strategy}:{predictor}:"
+            f"{spec.sim_config!r}".encode()
+        )
     for trace in traces:
         digest.update(f"|trace:{trace.group}:{trace.seed}:".encode())
         for request in trace:
@@ -74,13 +83,38 @@ def compute_fingerprint(
     return digest.hexdigest()
 
 
+def _factory_identity(label: str, factory: Any) -> str:
+    """A run-independent name for a spec factory.
+
+    A module-level function or class is named by ``module.qualname``; a
+    factory object (e.g. the registry's factory dataclasses) by its
+    ``repr``, which carries its configuration.  A factory whose identity
+    would embed a memory address or a local scope — a lambda, a closure,
+    an object with the default ``repr`` — is refused.
+    """
+    if isinstance(factory, (types.FunctionType, type)):
+        identity = f"{factory.__module__}.{factory.__qualname__}"
+        stable = "<" not in factory.__qualname__
+    else:
+        identity = repr(factory)
+        stable = " at 0x" not in identity
+    if not stable:
+        raise ValueError(
+            f"spec {label!r}: factory {identity} has no stable identity, "
+            "so a checkpoint journal could not tell it apart from another "
+            "— build the spec with RunSpec.from_names() or module-level "
+            "factories"
+        )
+    return identity
+
+
 def _hex(value: float) -> str:
     # float('inf').hex() exists ('inf'), but keep the encoding explicit.
     return "inf" if math.isinf(value) else value.hex()
 
 
 class CheckpointJournal:
-    """Append-only journal of final cell outcomes for one matrix run."""
+    """Append-only journal of finished cells for one matrix run."""
 
     def __init__(self, path: str | os.PathLike[str], fingerprint: str) -> None:
         self.path = os.fspath(path)
@@ -91,7 +125,7 @@ class CheckpointJournal:
 
     @property
     def completed(self) -> dict[tuple[int, int], dict]:
-        """``(spec_index, trace_index) -> journal entry`` already final."""
+        """``(spec_index, trace_index) -> journal entry`` already finished."""
         return dict(self._completed)
 
     def _load(self) -> None:
@@ -162,7 +196,7 @@ class CheckpointJournal:
         self._handle.flush()
 
     def record(self, entry: dict) -> None:
-        """Append one final cell outcome (idempotent per unit)."""
+        """Append one finished cell (idempotent per unit)."""
         unit = (entry["spec"], entry["trace"])
         if unit in self._completed:
             return

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.experiments.common import standard_platform, standard_traces
 from repro.experiments.config import HarnessScale
-from repro.experiments.executor import ParallelConfig
 from repro.experiments.runner import Aggregate, RunSpec, run_matrix
 from repro.util.tables import ascii_bar_chart, ascii_table
 from repro.workload.tracegen import DeadlineGroup
@@ -53,7 +52,7 @@ def run_prediction_impact(
     scale: HarnessScale | None = None,
     *,
     strategies: tuple[str, ...] = ("milp", "heuristic"),
-    parallel: ParallelConfig | int | None = None,
+    parallel: int | None = None,
 ) -> PredictionImpactResult:
     """Run {strategies} x {on, off} over one deadline group."""
     scale = scale or HarnessScale.from_env(default_traces=6, default_requests=100)

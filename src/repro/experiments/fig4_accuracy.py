@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro.experiments.common import standard_platform, standard_traces
 from repro.experiments.config import HarnessScale
-from repro.experiments.executor import ParallelConfig
 from repro.experiments.runner import Aggregate, RunSpec, run_matrix
 from repro.util.rng import derive_seed
 from repro.util.tables import ascii_line_chart, ascii_table
@@ -69,7 +68,7 @@ def run_accuracy_sweep(
     levels: tuple[float, ...] = DEFAULT_ACCURACY_LEVELS,
     strategies: tuple[str, ...] = ("milp", "heuristic"),
     group: DeadlineGroup = DeadlineGroup.VT,
-    parallel: ParallelConfig | int | None = None,
+    parallel: int | None = None,
 ) -> AccuracySweepResult:
     """Sweep one noise axis over the VT group."""
     predictor = _noise_predictor_name(axis)

@@ -29,7 +29,6 @@ from pathlib import Path
 
 from repro.experiments.common import standard_platform, standard_traces
 from repro.experiments.config import HarnessScale
-from repro.experiments.executor import ParallelConfig
 from repro.experiments.runner import Aggregate, RunSpec, run_matrix
 from repro.faults.plan import FaultPlan, TraceFault
 from repro.predict.metrics import evaluate_predictor
@@ -168,7 +167,7 @@ def run_frontier(
     predictors: tuple[str, ...] = DEFAULT_FRONTIER_PREDICTORS,
     scenarios: tuple[str, ...] = DRIFT_SCENARIOS,
     group: DeadlineGroup = DeadlineGroup.VT,
-    parallel: ParallelConfig | int | None = None,
+    parallel: int | None = None,
 ) -> FrontierResult:
     """Sweep ``scenarios x (predictors + off)`` into a frontier.
 

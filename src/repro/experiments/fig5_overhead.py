@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from repro.experiments.common import standard_platform, standard_traces
 from repro.experiments.config import HarnessScale
-from repro.experiments.executor import ParallelConfig
 from repro.experiments.runner import Aggregate, RunSpec, run_matrix
 from repro.sim.simulator import SimulationConfig
 from repro.util.tables import ascii_line_chart, ascii_table
@@ -79,7 +78,7 @@ def run_overhead_sweep(
     coefficients: tuple[float, ...] = DEFAULT_OVERHEAD_COEFFICIENTS,
     strategies: tuple[str, ...] = ("milp", "heuristic"),
     group: DeadlineGroup = DeadlineGroup.VT,
-    parallel: ParallelConfig | int | None = None,
+    parallel: int | None = None,
 ) -> OverheadSweepResult:
     """Sweep the prediction-overhead coefficient over the VT group."""
     scale = scale or HarnessScale.from_env(default_traces=6, default_requests=100)

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.heuristic import HeuristicResourceManager
-from repro.experiments.executor import ParallelConfig
 from repro.experiments.runner import RunSpec, run_matrix
 from repro.model.platform import Platform
 from repro.model.request import PredictedRequest, Request
@@ -107,7 +106,7 @@ def _wrong_predictor() -> ScriptedPredictor:
 def run_motivational(
     strategy_factory=HeuristicResourceManager,
     *,
-    parallel: ParallelConfig | int | None = None,
+    parallel: int | None = None,
 ) -> MotivationalOutcome:
     """Run the three scenarios with the given strategy (heuristic by
     default; the exact/MILP managers give identical outcomes)."""

@@ -143,8 +143,8 @@ def run_all(
 
     ``progress`` is an optional ``callable(section_name)`` invoked before
     each experiment (for console feedback on long runs).  ``parallel``
-    (a :class:`~repro.experiments.executor.ParallelConfig` or worker
-    count) fans each experiment's matrix out over worker processes.
+    (a worker count, see :func:`~repro.experiments.runner.run_matrix`)
+    fans each experiment's matrix out over worker processes.
     """
     scale = scale or HarnessScale.from_env(default_traces=5, default_requests=120)
     report = FullReport(scale=scale)

@@ -6,19 +6,33 @@ deterministic per-trace seeding so results are exactly reproducible and
 directly comparable across configurations (each configuration sees the
 *same* traces).
 
-Passing ``parallel=`` fans the (spec x trace) matrix out over worker
-processes (see :mod:`repro.experiments.executor`); results are folded
-back in stable spec-major order, so the aggregates are bit-identical to
-the serial path.
+Each (spec x trace) cell runs through one function, :func:`_run_cell`,
+and every cell record folds back through one method,
+:meth:`Aggregate.fold`, in stable spec-major order.  The worker count
+only picks how cells are mapped: in-process, or over a process pool.
+The aggregates are therefore bit-identical for every worker count, and
+a checkpointed run resumes the same way on either path.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+)
 
 from repro.core.base import MappingStrategy
 from repro.model.platform import Platform
@@ -29,7 +43,6 @@ from repro.sim.simulator import SimulationConfig, Simulator
 from repro.workload.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.experiments.executor import ParallelConfig
     from repro.faults.plan import FaultPlan
     from repro.obs.events import TraceOptions
     from repro.obs.metrics import MetricsSnapshot
@@ -37,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "RunSpec",
     "Aggregate",
-    "CellFailure",
     "CellStats",
     "run_matrix",
 ]
@@ -111,10 +123,6 @@ class CellStats:
     tampered-with report: a dirty run raises before reaching the
     aggregate).
 
-    ``retry_delays`` holds the seeded backoff delay (seconds) charged
-    before each re-attempt in the parallel executor — empty for a
-    first-attempt success, one entry per retry otherwise.
-
     ``metrics`` is the cell's :class:`~repro.obs.metrics.MetricsSnapshot`
     when the spec ran with ``SimulationConfig(tracer=TraceOptions(...))``
     and metrics collection on; ``None`` otherwise (DESIGN.md §11).
@@ -124,21 +132,8 @@ class CellStats:
     trace_index: int
     wall_time: float
     solver_calls: int
-    attempts: int = 1
     verified: bool | None = None
-    retry_delays: tuple[float, ...] = ()
     metrics: "MetricsSnapshot | None" = None
-
-
-@dataclass(frozen=True)
-class CellFailure:
-    """A (spec, trace) cell that failed after all retry attempts."""
-
-    label: str
-    trace_index: int
-    error: str
-    attempts: int
-    retry_delays: tuple[float, ...] = ()
 
 
 @dataclass
@@ -150,13 +145,43 @@ class Aggregate:
     normalized_energies: list[float] = field(default_factory=list)
     results: list[SimulationResult] = field(default_factory=list)
     cell_stats: list[CellStats] = field(default_factory=list)
-    failures: list[CellFailure] = field(default_factory=list)
 
     def add(self, result: SimulationResult, *, keep_result: bool) -> None:
         """Fold one simulation result into the aggregate."""
         self.rejection_percentages.append(result.rejection_percentage)
         self.normalized_energies.append(result.normalized_energy)
         if keep_result:
+            self.results.append(result)
+
+    def fold(
+        self,
+        record: Mapping[str, Any],
+        result: SimulationResult | None = None,
+    ) -> None:
+        """Fold one cell record (see :func:`_run_cell`), fresh or resumed
+        from a checkpoint journal; ``result`` is kept when given."""
+        from repro.obs.metrics import MetricsSnapshot
+
+        self.rejection_percentages.append(
+            float.fromhex(record["rejection_hex"])
+        )
+        self.normalized_energies.append(float.fromhex(record["energy_hex"]))
+        metrics = record.get("metrics")
+        self.cell_stats.append(
+            CellStats(
+                label=self.label,
+                trace_index=record["trace"],
+                wall_time=record["wall_time"],
+                solver_calls=record["solver_calls"],
+                verified=record["verified"],
+                metrics=(
+                    MetricsSnapshot.from_dict(metrics)
+                    if metrics is not None
+                    else None
+                ),
+            )
+        )
+        if result is not None:
             self.results.append(result)
 
     @property
@@ -180,11 +205,6 @@ class Aggregate:
     def n_traces(self) -> int:
         """How many traces have been aggregated."""
         return len(self.rejection_percentages)
-
-    @property
-    def n_failures(self) -> int:
-        """How many cells failed (recorded, not aggregated)."""
-        return len(self.failures)
 
     @property
     def total_wall_time(self) -> float:
@@ -224,15 +244,125 @@ class Aggregate:
 
         Counters sum, gauges take the max, histograms add bucket-wise
         (the algebra is associative and commutative, so the merged
-        snapshot is identical across serial and parallel execution and
-        across chunkings; DESIGN.md §11).  ``None`` when no cell
-        collected metrics.
+        snapshot is identical for every worker count; DESIGN.md §11).
+        ``None`` when no cell collected metrics.
         """
         from repro.obs.metrics import MetricsSnapshot
 
         return MetricsSnapshot.merge_all(
             stats.metrics for stats in self.cell_stats
         )
+
+
+# The matrix a process runs cells of, set by :func:`_init_cells` — once
+# per pool worker, or around the in-process map — so a cell is named by
+# a small (spec_index, trace_index) tuple.
+_CELLS: tuple[Platform, Sequence[RunSpec], Sequence[Trace]] | None = None
+
+
+def _init_cells(
+    platform: Platform, specs: Sequence[RunSpec], traces: Sequence[Trace]
+) -> None:
+    global _CELLS
+    _CELLS = (platform, specs, traces)
+
+
+def _run_cell(
+    unit: tuple[int, int],
+) -> tuple[dict[str, Any], SimulationResult]:
+    """Simulate one (spec_index, trace_index) cell.
+
+    Returns the cell record the fold consumes — and the checkpoint
+    journal stores verbatim: rejection and energy as ``float.hex``,
+    wall time, solver calls, the verifier verdict and, when collected,
+    the hex-float metrics snapshot — together with the full result.  A
+    failing simulation raises a :class:`RuntimeError` naming the cell,
+    chained to the original exception.
+    """
+    assert _CELLS is not None, "cell initializer did not run"
+    platform, specs, traces = _CELLS
+    spec_index, trace_index = unit
+    spec = specs[spec_index]
+    start = time.perf_counter()
+    try:
+        simulator = Simulator(
+            platform, spec.strategy(), spec.predictor(), spec.sim_config
+        )
+        result = simulator.run(traces[trace_index])
+    except Exception as exc:
+        raise RuntimeError(
+            f"cell (spec {spec.label!r}, trace {trace_index}) failed: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+    record: dict[str, Any] = {
+        "spec": spec_index,
+        "trace": trace_index,
+        "rejection_hex": result.rejection_percentage.hex(),
+        "energy_hex": result.normalized_energy.hex(),
+        "wall_time": time.perf_counter() - start,
+        "solver_calls": result.solver_calls_total,
+        "verified": (
+            result.verification.ok if result.verification is not None else None
+        ),
+    }
+    if result.metrics is not None:
+        # Hex floats survive the JSON round trip exactly, so a resumed
+        # aggregate's merged metrics equal an uninterrupted run's.
+        record["metrics"] = result.metrics.to_dict(hex_floats=True)
+    return record, result
+
+
+@contextmanager
+def _cell_mapper(
+    workers: int,
+    platform: Platform,
+    specs: Sequence[RunSpec],
+    traces: Sequence[Trace],
+) -> Iterator[Callable[..., Iterable[Any]]]:
+    """An order-preserving ``map`` for :func:`_run_cell`: the builtin
+    in-process, or a process pool's when ``workers >= 2``."""
+    if workers >= 2:
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_cells,
+            initargs=(platform, specs, traces),
+        )
+        try:
+            yield pool.map
+        finally:
+            # An aborted matrix must not wait for its queued cells.
+            pool.shutdown(cancel_futures=True)
+        return
+    global _CELLS
+    previous = _CELLS
+    _init_cells(platform, specs, traces)
+    try:
+        yield map
+    finally:
+        _CELLS = previous
+
+
+def _resolve_jobs(parallel: int | None) -> int:
+    """The worker count ``parallel=`` asks for (0 = one per core)."""
+    if parallel is None:
+        return 1
+    if parallel < 0:
+        raise ValueError(f"parallel must be >= 0, got {parallel}")
+    return parallel or (os.cpu_count() or 1)
+
+
+def _check_picklable(specs: Sequence[RunSpec]) -> None:
+    """Fail fast, with the offending label, on unpicklable specs."""
+    for spec in specs:
+        try:
+            pickle.dumps(spec)
+        except Exception as exc:
+            raise ValueError(
+                f"spec {spec.label!r} does not pickle and cannot be "
+                f"dispatched to worker processes — build it with "
+                f"RunSpec.from_names() (registry-name factories) instead "
+                f"of closures/lambdas ({type(exc).__name__}: {exc})"
+            ) from exc
 
 
 def run_matrix(
@@ -242,8 +372,8 @@ def run_matrix(
     *,
     keep_results: bool = False,
     progress: Callable[[str, int, int], None] | None = None,
-    parallel: "ParallelConfig | int | None" = None,
-    checkpoint: str | None = None,
+    parallel: int | None = None,
+    checkpoint: str | os.PathLike[str] | None = None,
     fault_plan: "FaultPlan | None" = None,
     tracer: "TraceOptions | None" = None,
     verify: bool | None = None,
@@ -270,26 +400,27 @@ def run_matrix(
         observability with one :class:`~repro.obs.events.TraceOptions`,
         or force invariant verification matrix-wide.
     progress:
-        Optional callback ``(label, trace_index, n_traces)``.  Serially
-        it fires before each simulation; in parallel mode it fires as
-        cells *complete* (completion order is nondeterministic, the
-        folded aggregates are not).
+        Optional callback ``(label, trace_index, n_traces)``, fired once
+        per executed cell after it finished (and was journaled), in
+        spec-major, trace-ascending order.  Cells resumed from a
+        checkpoint do not fire it.
     parallel:
-        ``None`` runs in-process (the historical behaviour).  A
-        :class:`~repro.experiments.executor.ParallelConfig` (or a bare
-        worker count) fans cells out over a process pool; aggregates are
-        bit-identical to the serial path, and failing cells are recorded
-        in ``Aggregate.failures`` instead of aborting the sweep.
+        Worker processes.  ``None`` or ``1`` runs cells in-process, ``N
+        >= 2`` maps them over a process pool (specs must pickle), ``0``
+        uses one worker per core.  The aggregates are bit-identical for
+        every value.  A cell that raises aborts the matrix with a
+        :class:`RuntimeError` naming the cell, on every path.
     checkpoint:
-        Optional path of a crash-safe checkpoint journal (parallel mode
-        only, see :mod:`repro.experiments.checkpoint`): completed cells
-        are journaled as they finish, and re-running with the same
-        arguments and journal resumes from where the previous run died,
-        bit-identical to an uninterrupted run.
+        Optional path of a crash-safe checkpoint journal (see
+        :mod:`repro.experiments.checkpoint`): every finished cell is
+        journaled, and re-running with the same arguments and journal
+        resumes from where the previous run died, bit-identical to an
+        uninterrupted run.  Cannot be combined with ``keep_results``.
     """
     labels = [spec.label for spec in specs]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate spec labels: {labels}")
+    jobs = _resolve_jobs(parallel)
     overrides: dict[str, object] = {}
     if fault_plan is not None:
         overrides["fault_plan"] = fault_plan
@@ -302,49 +433,57 @@ def run_matrix(
             replace(spec, sim_config=replace(spec.sim_config, **overrides))
             for spec in specs
         ]
-    if checkpoint is not None and parallel is None:
-        raise ValueError(
-            "checkpoint journaling requires the parallel executor; pass "
-            "parallel= (e.g. parallel=1 for a single worker)"
-        )
-    if parallel is not None:
-        from repro.experiments.executor import ParallelConfig, execute_matrix
+    if jobs >= 2:
+        _check_picklable(specs)
 
-        if isinstance(parallel, int):
-            parallel = ParallelConfig(jobs=parallel)
-        return execute_matrix(
-            traces,
-            platform,
-            specs,
-            keep_results=keep_results,
-            progress=progress,
-            config=parallel,
-            checkpoint=checkpoint,
+    journal = None
+    records: dict[tuple[int, int], dict[str, Any]] = {}
+    if checkpoint is not None:
+        if keep_results:
+            raise ValueError(
+                "keep_results cannot be combined with checkpoint= — full "
+                "SimulationResults are not journaled, so a resumed run "
+                "could not reconstruct them"
+            )
+        from repro.experiments.checkpoint import (
+            CheckpointJournal,
+            compute_fingerprint,
         )
+
+        journal = CheckpointJournal(
+            checkpoint, compute_fingerprint(platform, specs, traces)
+        )
+        records = journal.completed
+
+    units = [
+        (spec_index, trace_index)
+        for spec_index in range(len(specs))
+        for trace_index in range(len(traces))
+        if (spec_index, trace_index) not in records
+    ]
+    results: dict[tuple[int, int], SimulationResult] = {}
+    try:
+        with _cell_mapper(
+            min(jobs, len(units)), platform, specs, traces
+        ) as cell_map:
+            for record, result in cell_map(_run_cell, units):
+                unit = (record["spec"], record["trace"])
+                if journal is not None:
+                    journal.record(record)
+                records[unit] = record
+                if keep_results:
+                    results[unit] = result
+                if progress is not None:
+                    progress(specs[unit[0]].label, unit[1], len(traces))
+    finally:
+        if journal is not None:
+            journal.close()
+
+    # Fold in stable spec-major, trace-ascending order: identical floats,
+    # identical list order and dict order for every worker count.
     aggregates = {spec.label: Aggregate(spec.label) for spec in specs}
-    for spec in specs:
-        for index, trace in enumerate(traces):
-            if progress is not None:
-                progress(spec.label, index, len(traces))
-            simulator = Simulator(
-                platform, spec.strategy(), spec.predictor(), spec.sim_config
-            )
-            start = time.perf_counter()
-            result = simulator.run(trace)
-            aggregate = aggregates[spec.label]
-            aggregate.add(result, keep_result=keep_results)
-            aggregate.cell_stats.append(
-                CellStats(
-                    label=spec.label,
-                    trace_index=index,
-                    wall_time=time.perf_counter() - start,
-                    solver_calls=result.solver_calls_total,
-                    verified=(
-                        result.verification.ok
-                        if result.verification is not None
-                        else None
-                    ),
-                    metrics=result.metrics,
-                )
-            )
+    for spec_index, spec in enumerate(specs):
+        for trace_index in range(len(traces)):
+            unit = (spec_index, trace_index)
+            aggregates[spec.label].fold(records[unit], results.get(unit))
     return aggregates

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro.experiments.common import standard_platform, standard_traces
 from repro.experiments.config import HarnessScale
-from repro.experiments.executor import ParallelConfig
 from repro.experiments.runner import RunSpec, run_matrix
 from repro.util.tables import ascii_table
 from repro.workload.tracegen import DeadlineGroup
@@ -64,7 +63,7 @@ class Sec52Result:
 def run_sec52(
     scale: HarnessScale | None = None,
     *,
-    parallel: ParallelConfig | int | None = None,
+    parallel: int | None = None,
 ) -> Sec52Result:
     """Run both strategies, predictor off, over VT + LT."""
     scale = scale or HarnessScale.from_env(default_traces=5, default_requests=80)

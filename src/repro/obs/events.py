@@ -229,7 +229,7 @@ class TraceOptions:
     """What one simulation run collects (``SimulationConfig(tracer=...)``).
 
     A small frozen value object (not a tracer instance) so simulation
-    configs stay picklable through the parallel executor; the simulator
+    configs stay picklable for a pooled ``run_matrix``; the simulator
     builds a fresh :class:`CollectingTracer` /
     :class:`~repro.obs.metrics.MetricsRegistry` per run.
     """

@@ -6,10 +6,10 @@ name -> constructor tables; this module unifies them so that
 * ``resolve_strategy("milp")`` / ``resolve_predictor("type-noise",
   accuracy=0.75)`` build fresh instances anywhere in the library,
 * :func:`strategy_factory` / :func:`predictor_factory` return *picklable*
-  zero-argument factories — the property the parallel experiment
-  executor (:mod:`repro.experiments.executor`) relies on to ship work
-  units to worker processes (closures and lambdas do not pickle;
-  by-name factories do), and
+  zero-argument factories — the property a pooled
+  :func:`~repro.experiments.runner.run_matrix` relies on to ship cells
+  to worker processes (closures and lambdas do not pickle; by-name
+  factories do), and
 * downstream code can :func:`register_strategy` /
   :func:`register_predictor` its own implementations and have them
   usable from :class:`~repro.experiments.runner.RunSpec`, ``simulate``

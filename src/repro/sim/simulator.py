@@ -46,7 +46,6 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.predict.base import NullPredictor, Predictor
-from repro.serve.clock import Clock
 from repro.sim.result import ActivationRecord, SimulationResult
 from repro.sim.state import PlatformState
 from repro.sim.step import AdmissionStep
@@ -107,14 +106,6 @@ class SimulationConfig:
         ``None`` (the default) traces nothing and stays within noise of
         an untraced build (the NullTracer overhead contract).  Tracing
         never changes simulation behaviour — only what is recorded.
-    clock:
-        Optional :class:`~repro.serve.clock.Clock` the run keeps in step
-        with platform progress (DESIGN.md §12).  ``None`` (the default)
-        gives each run a private
-        :class:`~repro.serve.clock.VirtualClock`.  The simulator is the
-        virtual-clock mode of the shared engine: the clock observes
-        simulation time, it never drives decisions, so results are
-        clock-independent (and bit-identical to the pre-``Clock`` code).
     """
 
     prediction_overhead: float = 0.0
@@ -125,7 +116,6 @@ class SimulationConfig:
     verify: bool = False
     fault_plan: "FaultPlan | None" = None
     tracer: TraceOptions | None = None
-    clock: Clock | None = None
 
     def __post_init__(self) -> None:
         check_non_negative("prediction_overhead", self.prediction_overhead)
@@ -219,7 +209,6 @@ class Simulator:
                 self.config.collect_execution_log or self.config.verify
             ),
             tracer=tracer,
-            clock=self.config.clock,
         )
         result = SimulationResult(
             n_requests=len(trace), energy_demand=trace.stats().energy_demand
@@ -351,7 +340,7 @@ class Simulator:
     ) -> None:
         """Record the run's headline totals into the metrics registry.
 
-        Counters sum across executor cells (ints stay ints; energies
+        Counters sum across matrix cells (ints stay ints; energies
         are float sums); gauges are per-run high-water marks that merge
         by ``max`` (DESIGN.md §11).  ``horizon`` is the platform time
         when the run finished.
@@ -530,7 +519,6 @@ def simulate(
     fault_plan: "FaultPlan | None" = None,
     tracer: TraceOptions | None = None,
     verify: bool | None = None,
-    clock: Clock | None = None,
 ) -> SimulationResult:
     """One-call convenience wrapper around :class:`Simulator`.
 
@@ -555,8 +543,6 @@ def simulate(
         overrides["tracer"] = tracer
     if verify is not None:
         overrides["verify"] = verify
-    if clock is not None:
-        overrides["clock"] = clock
     if overrides:
         config = replace(config, **overrides)
     return Simulator(platform, strategy, predictor, config).run(trace)

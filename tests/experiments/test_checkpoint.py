@@ -2,8 +2,8 @@
 
 Acceptance criteria under test: a run killed mid-matrix (SIGKILL, no
 cleanup) resumes from its journal re-executing only the incomplete
-cells, and the resumed aggregates are bit-identical to an uninterrupted
-run.
+cells, at any worker count, and the resumed aggregates are
+bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.exact import ExactResourceManager
+from repro.core.heuristic import HeuristicResourceManager
 from repro.experiments.checkpoint import (
     CheckpointError,
     CheckpointJournal,
@@ -25,7 +27,6 @@ from repro.experiments.checkpoint import (
 )
 from repro.experiments.common import standard_platform, standard_traces
 from repro.experiments.config import HarnessScale
-from repro.experiments.executor import ParallelConfig
 from repro.experiments.runner import RunSpec, run_matrix
 from repro.workload.tracegen import DeadlineGroup
 
@@ -88,6 +89,37 @@ class TestFingerprint:
         )
 
 
+    def test_sensitive_to_strategy_and_predictor(self, matrix):
+        platform, traces = matrix
+
+        def fingerprint(spec):
+            return compute_fingerprint(platform, [spec], traces)
+
+        assert fingerprint(
+            RunSpec.from_names("x", "heuristic")
+        ) != fingerprint(RunSpec.from_names("x", "milp"))
+        assert fingerprint(
+            RunSpec.from_names("x", "heuristic", "oracle")
+        ) != fingerprint(RunSpec.from_names("x", "heuristic"))
+        noisy = [
+            RunSpec.from_names(
+                "x",
+                "heuristic",
+                "type-noise",
+                predictor_kwargs={"accuracy": accuracy, "seed": 1},
+            )
+            for accuracy in (0.5, 0.9)
+        ]
+        assert fingerprint(noisy[0]) != fingerprint(noisy[1])
+        assert fingerprint(
+            RunSpec(label="x", strategy=HeuristicResourceManager)
+        ) != fingerprint(RunSpec(label="x", strategy=ExactResourceManager))
+        # The unstable factory IS the scenario under test.
+        unstable = RunSpec(label="anon", strategy=lambda: None)  # noqa: RPR004
+        with pytest.raises(ValueError, match="'anon'"):
+            fingerprint(unstable)
+
+
 class TestJournal:
     def test_records_survive_reload(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -141,16 +173,6 @@ class TestJournal:
 
 
 class TestRunMatrixCheckpoint:
-    def test_checkpoint_requires_parallel(self, matrix, tmp_path):
-        platform, traces = matrix
-        with pytest.raises(ValueError, match="parallel"):
-            run_matrix(
-                traces,
-                platform,
-                _specs(),
-                checkpoint=str(tmp_path / "j.jsonl"),
-            )
-
     def test_checkpoint_rejects_keep_results(self, matrix, tmp_path):
         platform, traces = matrix
         with pytest.raises(ValueError, match="keep_results"):
@@ -159,21 +181,19 @@ class TestRunMatrixCheckpoint:
                 platform,
                 _specs(),
                 keep_results=True,
-                parallel=ParallelConfig(jobs=1),
+                parallel=1,
                 checkpoint=str(tmp_path / "j.jsonl"),
             )
 
     def test_completed_journal_executes_nothing(self, matrix, tmp_path):
         platform, traces = matrix
         path = str(tmp_path / "j.jsonl")
-        reference = run_matrix(
-            traces, platform, _specs(), parallel=ParallelConfig(jobs=2)
-        )
+        reference = run_matrix(traces, platform, _specs(), parallel=2)
         first = run_matrix(
             traces,
             platform,
             _specs(),
-            parallel=ParallelConfig(jobs=2),
+            parallel=2,
             checkpoint=path,
         )
         _assert_bit_identical(first, reference)
@@ -182,7 +202,7 @@ class TestRunMatrixCheckpoint:
             traces,
             platform,
             _specs(),
-            parallel=ParallelConfig(jobs=2),
+            parallel=2,
             progress=lambda *args: calls.append(args),
             checkpoint=path,
         )
@@ -196,7 +216,7 @@ class TestRunMatrixCheckpoint:
             traces,
             platform,
             _specs(),
-            parallel=ParallelConfig(jobs=2),
+            parallel=2,
             checkpoint=str(full_path),
         )
         # keep the header and the first two completed cells
@@ -208,7 +228,7 @@ class TestRunMatrixCheckpoint:
             traces,
             platform,
             _specs(),
-            parallel=ParallelConfig(jobs=2),
+            parallel=2,
             progress=lambda *args: calls.append(args),
             checkpoint=str(partial_path),
         )
@@ -216,32 +236,27 @@ class TestRunMatrixCheckpoint:
         assert len(calls) == total - 2  # only the incomplete cells ran
         _assert_bit_identical(resumed, reference)
 
-    def test_journaled_failures_not_rerun(self, matrix, tmp_path):
-        from tests.experiments.test_executor import ExplodingStrategy
-
+    def test_in_process_checkpoint_resumes(self, matrix, tmp_path):
         platform, traces = matrix
-        specs = [RunSpec(label="boom", strategy=ExplodingStrategy)]
-        path = str(tmp_path / "j.jsonl")
-        config = ParallelConfig(jobs=1, retries=0, backoff_base=0.0)
-        first = run_matrix(
-            traces[:1], platform, specs, parallel=config, checkpoint=path
-        )
-        assert first["boom"].n_failures == 1
+        reference = run_matrix(traces, platform, _specs())
+        full_path = tmp_path / "full.jsonl"
+        run_matrix(traces, platform, _specs(), checkpoint=str(full_path))
+        # keep the header and the first two completed cells
+        lines = full_path.read_text().splitlines()
+        partial_path = tmp_path / "partial.jsonl"
+        partial_path.write_text("\n".join(lines[:3]) + "\n")
         calls: list[tuple] = []
-        second = run_matrix(
-            traces[:1],
+        resumed = run_matrix(
+            traces,
             platform,
-            specs,
-            parallel=config,
+            _specs(),
+            parallel=None,
             progress=lambda *args: calls.append(args),
-            checkpoint=path,
+            checkpoint=str(partial_path),
         )
-        assert calls == []  # the exhausted failure is final, not retried
-        assert second["boom"].n_failures == 1
-        assert (
-            second["boom"].failures[0].error
-            == first["boom"].failures[0].error
-        )
+        total = len(_specs()) * len(traces)
+        assert len(calls) == total - 2  # only the incomplete cells ran
+        _assert_bit_identical(resumed, reference)
 
 
 _KILL_SCRIPT = textwrap.dedent(
@@ -252,7 +267,6 @@ _KILL_SCRIPT = textwrap.dedent(
 
     from repro.experiments.common import standard_platform, standard_traces
     from repro.experiments.config import HarnessScale
-    from repro.experiments.executor import ParallelConfig
     from repro.experiments.runner import RunSpec, run_matrix
     from repro.workload.tracegen import DeadlineGroup
 
@@ -279,7 +293,7 @@ _KILL_SCRIPT = textwrap.dedent(
         traces,
         platform,
         specs,
-        parallel=ParallelConfig(jobs=1),
+        parallel=1,
         progress=progress,
         checkpoint=checkpoint,
     )
@@ -328,15 +342,13 @@ class TestCrashResume:
         total = len(_specs()) * len(traces)
         assert 2 <= completed < total
 
-        reference = run_matrix(
-            traces, platform, _specs(), parallel=ParallelConfig(jobs=1)
-        )
+        reference = run_matrix(traces, platform, _specs(), parallel=1)
         calls: list[tuple] = []
         resumed = run_matrix(
             traces,
             platform,
             _specs(),
-            parallel=ParallelConfig(jobs=1),
+            parallel=1,
             progress=lambda *args: calls.append(args),
             checkpoint=str(path),
         )

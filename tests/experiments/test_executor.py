@@ -1,22 +1,18 @@
-"""Tests for the parallel experiment executor.
+"""Tests for the experiment matrix's worker-count parity.
 
-The core guarantee under test: ``run_matrix(..., parallel=...)`` returns
-aggregates *bit-identical* to the serial path (same floats, same list
-order, same dict order), while worker failures are recorded as failed
-cells instead of killing the sweep.
+The core guarantee under test: ``run_matrix(..., parallel=N)`` returns
+aggregates *bit-identical* to the in-process path (same floats, same
+list order, same dict order), and a failing cell aborts the matrix
+with an error naming it on every path.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
 from repro.core.heuristic import HeuristicResourceManager
 from repro.experiments.common import standard_platform, standard_traces
 from repro.experiments.config import HarnessScale
-from repro.experiments.executor import ParallelConfig, execute_matrix
 from repro.experiments.fig2_rejection import run_prediction_impact
 from repro.experiments.motivational import run_motivational
 from repro.experiments.runner import RunSpec, run_matrix
@@ -30,25 +26,6 @@ class ExplodingStrategy(HeuristicResourceManager):
 
     def solve(self, context):
         raise RuntimeError("injected failure")
-
-
-@dataclass(frozen=True)
-class FlakyOnceStrategy:
-    """Factory whose strategies fail until a sentinel file exists.
-
-    The first attempt (per cell, via ``marker``) creates the sentinel
-    and raises; the retry finds it and succeeds — the executor's
-    bounded-retry path end to end.
-    """
-
-    marker_dir: str
-
-    def __call__(self) -> HeuristicResourceManager:
-        marker = Path(self.marker_dir) / "attempted"
-        if not marker.exists():
-            marker.write_text("first attempt")
-            raise RuntimeError("flaky first attempt")
-        return HeuristicResourceManager()
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +49,7 @@ class TestParity:
     def test_parallel_identical_to_serial(self, matrix):
         platform, traces, specs = matrix
         serial = run_matrix(traces, platform, specs)
-        par = run_matrix(
-            traces, platform, specs, parallel=ParallelConfig(jobs=2)
-        )
+        par = run_matrix(traces, platform, specs, parallel=2)
         assert list(par) == list(serial)  # same labels, same dict order
         for label in serial:
             assert (
@@ -85,7 +60,6 @@ class TestParity:
                 par[label].normalized_energies
                 == serial[label].normalized_energies
             )
-            assert par[label].failures == []
 
     def test_bare_int_jobs_accepted(self, matrix):
         platform, traces, specs = matrix
@@ -105,7 +79,7 @@ class TestParity:
             platform,
             specs[:1],
             keep_results=True,
-            parallel=ParallelConfig(jobs=2),
+            parallel=2,
         )
         assert len(par["h-off"].results) == len(traces)
         for mine, theirs in zip(
@@ -121,7 +95,7 @@ class TestParity:
             DeadlineGroup.VT,
             TINY,
             strategies=("heuristic",),
-            parallel=ParallelConfig(jobs=2),
+            parallel=2,
         )
         for label, aggregate in serial.aggregates.items():
             assert (
@@ -134,13 +108,13 @@ class TestParity:
             )
 
     def test_motivational_parallel(self):
-        assert run_motivational(parallel=ParallelConfig(jobs=2)).matches_paper()
+        assert run_motivational(parallel=2).matches_paper()
 
 
 class TestObservability:
     def test_cell_stats_recorded(self, matrix):
         platform, traces, specs = matrix
-        for parallel in (None, ParallelConfig(jobs=2)):
+        for parallel in (None, 2):
             aggregates = run_matrix(
                 traces, platform, specs[:1], parallel=parallel
             )
@@ -161,7 +135,7 @@ class TestObservability:
             platform,
             specs,
             progress=lambda label, i, n: calls.append((label, i, n)),
-            parallel=ParallelConfig(jobs=2),
+            parallel=2,
         )
         assert len(calls) == len(specs) * len(traces)
         assert set(calls) == {
@@ -172,58 +146,25 @@ class TestObservability:
 
 
 class TestRobustness:
-    def test_worker_exception_records_failed_cell(self, matrix):
+    def test_cell_exception_names_the_cell(self, matrix):
         platform, traces, _ = matrix
         specs = [
             RunSpec.from_names("good", strategy="heuristic"),
             RunSpec(label="boom", strategy=ExplodingStrategy),
         ]
-        aggregates = run_matrix(
-            traces,
-            platform,
-            specs,
-            parallel=ParallelConfig(jobs=2, retries=1),
-        )
-        # The sweep survived and the healthy spec is fully aggregated...
-        assert aggregates["good"].n_traces == len(traces)
-        assert aggregates["good"].failures == []
-        # ...while every exploding cell is recorded, with its retries.
-        boom = aggregates["boom"]
-        assert boom.n_traces == 0
-        assert boom.n_failures == len(traces)
-        for failure in boom.failures:
-            assert "injected failure" in failure.error
-            assert failure.attempts == 2  # 1 try + 1 retry
-        assert [f.trace_index for f in boom.failures] == list(
-            range(len(traces))
-        )
-
-    def test_retry_recovers_flaky_cell(self, matrix, tmp_path):
-        platform, traces, _ = matrix
-        specs = [
-            RunSpec(label="flaky", strategy=FlakyOnceStrategy(str(tmp_path)))
-        ]
-        aggregates = run_matrix(
-            traces[:1],
-            platform,
-            specs,
-            parallel=ParallelConfig(jobs=1, chunk_size=1, retries=2),
-        )
-        flaky = aggregates["flaky"]
-        assert flaky.failures == []
-        assert flaky.n_traces == 1
-        assert flaky.cell_stats[0].attempts >= 2
-
-    def test_retries_zero_fails_fast(self, matrix):
-        platform, traces, _ = matrix
-        specs = [RunSpec(label="boom", strategy=ExplodingStrategy)]
-        aggregates = run_matrix(
-            traces[:1],
-            platform,
-            specs,
-            parallel=ParallelConfig(jobs=1, retries=0),
-        )
-        assert aggregates["boom"].failures[0].attempts == 1
+        for parallel in (None, 2):
+            with pytest.raises(RuntimeError) as info:
+                run_matrix(traces, platform, specs, parallel=parallel)
+            message = str(info.value)
+            assert "boom" in message
+            assert "trace 0" in message
+            assert "injected failure" in message
+        with pytest.raises(RuntimeError) as info:
+            run_matrix(traces, platform, specs)
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert str(info.value.__cause__) == "injected failure"
+        with pytest.raises(ValueError, match="parallel"):
+            run_matrix(traces, platform, specs, parallel=-1)
 
     def test_unpicklable_spec_rejected_with_label(self, matrix):
         platform, traces, _ = matrix
@@ -234,9 +175,7 @@ class TestRobustness:
             )
         ]
         with pytest.raises(ValueError, match="closure.*from_names"):
-            run_matrix(
-                traces, platform, specs, parallel=ParallelConfig(jobs=2)
-            )
+            run_matrix(traces, platform, specs, parallel=2)
 
     def test_serial_path_accepts_unpicklable_specs(self, matrix):
         platform, traces, _ = matrix
@@ -248,113 +187,6 @@ class TestRobustness:
         ]
         aggregates = run_matrix(traces[:1], platform, specs)
         assert aggregates["closure"].n_traces == 1
-
-
-class TestBackoff:
-    def test_retry_delay_deterministic_and_bounded(self):
-        config = ParallelConfig(
-            backoff_base=0.1,
-            backoff_factor=2.0,
-            backoff_max=1.0,
-            backoff_jitter=0.25,
-            jitter_seed=7,
-        )
-        for attempt in (1, 2, 3, 10):
-            base = min(1.0, 0.1 * 2.0 ** (attempt - 1))
-            delay = config.retry_delay(0, 1, attempt)
-            assert delay == config.retry_delay(0, 1, attempt)  # pure
-            assert base <= delay <= base * 1.25
-
-    def test_retry_delay_decorrelates_units(self):
-        config = ParallelConfig(backoff_jitter=1.0)
-        delays = {
-            config.retry_delay(spec, trace, 1)
-            for spec in range(3)
-            for trace in range(3)
-        }
-        assert len(delays) == 9  # every unit draws its own jitter
-
-    def test_retry_delay_seed_changes_schedule(self):
-        a = ParallelConfig(jitter_seed=1).retry_delay(0, 0, 1)
-        b = ParallelConfig(jitter_seed=2).retry_delay(0, 0, 1)
-        assert a != b
-
-    def test_zero_base_disables_backoff(self):
-        config = ParallelConfig(backoff_base=0.0)
-        assert config.retry_delay(0, 0, 1) == 0.0
-
-    def test_bad_attempt_rejected(self):
-        with pytest.raises(ValueError, match="attempt"):
-            ParallelConfig().retry_delay(0, 0, 0)
-
-    def test_failure_records_charged_delays(self, matrix):
-        platform, traces, _ = matrix
-        specs = [RunSpec(label="boom", strategy=ExplodingStrategy)]
-        config = ParallelConfig(
-            jobs=1, retries=2, backoff_base=0.01, backoff_max=0.02
-        )
-        aggregates = run_matrix(
-            traces[:1], platform, specs, parallel=config
-        )
-        failure = aggregates["boom"].failures[0]
-        assert failure.attempts == 3
-        # one charged delay per retry, exactly the seeded schedule
-        assert failure.retry_delays == (
-            config.retry_delay(0, 0, 1),
-            config.retry_delay(0, 0, 2),
-        )
-
-    def test_recovered_cell_keeps_its_delays(self, matrix, tmp_path):
-        platform, traces, _ = matrix
-        specs = [
-            RunSpec(label="flaky", strategy=FlakyOnceStrategy(str(tmp_path)))
-        ]
-        aggregates = run_matrix(
-            traces[:1],
-            platform,
-            specs,
-            parallel=ParallelConfig(
-                jobs=1, chunk_size=1, retries=2, backoff_base=0.01
-            ),
-        )
-        stats = aggregates["flaky"].cell_stats[0]
-        assert stats.attempts >= 2
-        assert len(stats.retry_delays) == stats.attempts - 1
-        assert all(delay > 0 for delay in stats.retry_delays)
-
-
-class TestParallelConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(jobs=-1)
-        with pytest.raises(ValueError):
-            ParallelConfig(chunk_size=0)
-        with pytest.raises(ValueError):
-            ParallelConfig(retries=-1)
-        with pytest.raises(ValueError):
-            ParallelConfig(timeout=-1.0)
-        with pytest.raises(ValueError):
-            ParallelConfig(backoff_base=-0.1)
-        with pytest.raises(ValueError):
-            ParallelConfig(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            ParallelConfig(backoff_jitter=-1.0)
-
-    def test_resolved_jobs_defaults_to_cpu_count(self):
-        import os
-
-        assert ParallelConfig(jobs=0).resolved_jobs() == (os.cpu_count() or 1)
-        assert ParallelConfig(jobs=3).resolved_jobs() == 3
-
-    def test_timeout_forces_unit_chunks(self):
-        assert ParallelConfig(timeout=5.0).resolved_chunk_size(100) == 1
-        assert ParallelConfig(chunk_size=4).resolved_chunk_size(100) == 4
-
-    def test_empty_matrix(self):
-        aggregates = execute_matrix(
-            [], standard_platform(), [], config=ParallelConfig(jobs=2)
-        )
-        assert aggregates == {}
 
 
 class TestRunSpecFromNames:

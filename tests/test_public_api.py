@@ -128,7 +128,6 @@ class TestPublicApi:
     def test_registry_and_executor_exported(self):
         from repro import (
             Aggregate,
-            ParallelConfig,
             RunSpec,
             resolve_predictor,
             resolve_strategy,
@@ -137,7 +136,6 @@ class TestPublicApi:
 
         assert callable(run_matrix)
         assert RunSpec.from_names("x", strategy="heuristic").label == "x"
-        assert ParallelConfig(jobs=2).resolved_jobs() == 2
         assert Aggregate(label="x").n_traces == 0
         assert resolve_strategy("heuristic") is not None
         assert resolve_predictor("oracle") is not None
