@@ -14,23 +14,62 @@ the exact EDF timeline of the target resource, including the predicted
 task's arrival and (on preemptable resources) its preemption —
 the ``IsSchedulable`` of the paper.
 
-Worst-case complexity is ``O(N * L * log L)`` per activation, with ``L``
-the size of ``S-bar``.
+Cost per activation, excluding the ``IsSchedulable`` probes, with ``L``
+the size of ``S-bar`` and ``N`` the number of resources:
 
-Implementation notes (hot path; all bit-identical to the naive form and
-pinned by the golden-trace suite in ``tests/golden``):
+* rows: ``O(L * N log N)``, and for most tasks a table lookup;
+* regret selection: ``O(L log L)`` to build the heap, plus
+  ``O(log(L * N))`` per key change; a key changes only when a task loses
+  one of its first two candidates, at most ``L * N`` times in all;
+* pruning: ``O(L * N)`` per placement that can bind, so ``O(N * L^2)`` in
+  the worst case; every other placement skips it in ``O(1)``.  On the
+  ``sim-lt-learned`` benchmark contexts only 181 of 52,322 placements
+  run the pass (``sim-vt-off``: 4,692 of 24,705).
 
-* the ``cpm``/``f`` rows inline :meth:`PlannedTask.exec_time_on` /
-  :meth:`~PlannedTask.energy_on` branch-for-branch (same operations in
-  the same order, so the floats are identical to the letter);
-* each task's resources are pre-sorted once by ``(f[j,i], i)``; the
-  per-round candidate list filters that fixed total order by remaining
-  capacity, which equals filtering-then-sorting;
-* the regret scan stops at the first ``inf`` regret: no later task can
-  exceed it under the strict ``>`` comparison, and a later task with *no*
-  candidates still drives the decision to infeasible on a subsequent
-  round (capacities only ever shrink), so the returned decision is
-  unchanged;
+Implementation notes (hot path; each is bit-identical to the
+straightforward form kept in ``tests/core/reference_heuristic.py``,
+checked by differential tests there and by the golden-trace suite in
+``tests/golden``):
+
+* the ``cpm``/energy rows are :meth:`PlannedTask.exec_time_on` /
+  :meth:`~PlannedTask.energy_on` column by column (same operations on
+  the same operands, so the floats are identical to the letter);
+* **row table.**  For an unstarted task (``remaining_fraction == 1.0``,
+  nothing pending) on a platform with no resource down, those rows, the
+  unpenalised ``f = energy + 0.0`` and its preference order depend only
+  on the task type and ``(current resource, running non-preemptable,
+  migratable)``.  They are memoised as tuples in
+  :attr:`TaskType.row_cache`, at most ``(N + 1) * 4`` entries per type.
+  The deadline penalty is applied per activation: when no finite cpm
+  exceeds ``t_left + eps`` it adds ``0.0`` everywhere, which is the
+  cached row; otherwise ``f`` is rebuilt from the cached rows with the
+  same expression and sorted afresh.  Started tasks and platforms with
+  a resource down are computed fresh;
+* each task's resources are pre-sorted once by ``(f[j,i], i)`` (a stable
+  sort on ``f`` of the ascending executable indices); the candidate
+  list filters that fixed total order by remaining capacity, which
+  equals filtering-then-sorting;
+* **regret order.**  The reference scans the unmapped tasks in id order
+  each round, keeps the first strict maximum of ``f[c1] - f[c0]``
+  (regret ``inf`` for one candidate) and exits infeasible at a task with
+  no candidates, but stops at the first ``inf``.  Its pick is therefore
+  the smallest id with at most one candidate (infeasible if that task
+  has none), else the largest finite regret with ties to the smallest
+  id.  A min-heap on ``(f[c0] - f[c1], job_id)``, keyed ``-inf`` for at
+  most one candidate, has exactly that top: ``a - b == -(b - a)`` in
+  IEEE arithmetic, and no key is NaN because ``M`` is finite, which
+  keeps ``f`` finite on every executable resource short of overflow.
+  The emitted ``regret`` is recomputed as ``f[c1] - f[c0]``, so even a
+  zero regret keeps its sign.  Keys change only when pruning removes one of a
+  task's first two candidates; the new key is pushed and superseded
+  entries are skipped when popped;
+* **prune skip.**  ``max_exec[i]`` is the largest initial candidate cpm
+  on resource ``i``; pruning removes ``i`` where ``cpm > capacity + eps``,
+  so while ``capacity[i] + eps >= max_exec[i]`` the pass would remove
+  nothing and is skipped;
+* **energy from rows.**  The returned energy adds each task's energy-row
+  entry at its mapped resource, in ``context.tasks`` order: the same
+  terms in the same order as :func:`~repro.core.base.mapping_energy`;
 * ``IsSchedulable`` keeps one incremental
   :class:`~repro.sched.timeline.Timeline` per resource and probes it,
   instead of replaying the whole resource with
@@ -40,19 +79,30 @@ pinned by the golden-trace suite in ``tests/golden``):
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+from heapq import heapify, heappop, heappush
 
-from repro.core.base import (
-    MappingDecision,
-    MappingStrategy,
-    mapping_energy,
-)
+from repro.core.base import MappingDecision, MappingStrategy
 from repro.core.context import PlannedTask, RMContext
+from repro.model.task import TaskType
 from repro.sched.timeline import Timeline
 
 __all__ = ["HeuristicResourceManager"]
 
 _EPS = 1e-9
 _INF = math.inf
+
+_Row = Sequence[float]
+# A row-table entry: (cpm, energy, executable resources, max finite cpm,
+# unpenalised f, preference order under that f).
+_CachedRows = tuple[
+    tuple[float, ...],
+    tuple[float, ...],
+    tuple[int, ...],
+    float,
+    tuple[float, ...],
+    tuple[int, ...],
+]
 
 
 class HeuristicResourceManager(MappingStrategy):
@@ -80,95 +130,81 @@ class HeuristicResourceManager(MappingStrategy):
         *,
         remap_existing: bool = True,
     ) -> None:
-        if deadline_penalty <= 0:
+        if not (math.isfinite(deadline_penalty) and deadline_penalty > 0):
             raise ValueError(
-                f"deadline_penalty must be > 0, got {deadline_penalty}"
+                "deadline_penalty must be finite and > 0, got "
+                f"{deadline_penalty}"
             )
         self.deadline_penalty = deadline_penalty
         self.remap_existing = remap_existing
 
     def solve(self, context: RMContext) -> MappingDecision:
         """Run Algorithm 1 on one activation (see the class docstring)."""
-        tasks = list(context.tasks)
+        tasks = context.tasks
         if not tasks:
             return MappingDecision(feasible=True, mapping={}, energy=0.0)
         tracer = self.tracer
         tracing = tracer.enabled
         platform = context.platform
         n = platform.size
-        window = context.window
-        capacity = [window] * n
+        capacity = [context.window] * n
         time = context.time
         charge_unstarted = context.charge_unstarted_migration
         deadline_penalty = self.deadline_penalty
         resources = range(n)
         down = context.down_resources
 
-        # Line 6: desirability f[j,i] = ep + em + M * (cpm > t_left).
-        # The rows replicate PlannedTask.exec_time_on/energy_on inline
-        # (same arithmetic, same order); wcet and energy are finite on
-        # exactly the same resources (TaskType invariant), so one
-        # executability test covers both rows.
-        desirability: dict[int, list[float]] = {}
-        exec_times: dict[int, list[float]] = {}
-        # Per task: resources with finite cpm, pre-sorted by (f, i).
-        preference: dict[int, list[int]] = {}
+        # Line 6: desirability f[j,i] = ep + em + M * (cpm > t_left),
+        # with each task's executable resources pre-sorted by (f, i).
+        # Per job: (cpm row, energy row, f row, preference order).
+        rows_of: dict[int, tuple[_Row, _Row, _Row, Sequence[int]]] = {}
         for task in tasks:
             task_type = task.task
-            wcets = task_type.wcet
-            energies = task_type.energy
-            fraction = task.remaining_fraction
             current = task.current_resource
             run_np = task.running_non_preemptable
-            pending = task.pending_migration_time
             migratable = (
                 current is not None
                 and not run_np
                 and (task.started or charge_unstarted)
             )
-            cm_row = (
-                task_type.migration_time[current] if migratable else None
-            )
-            em_row = (
-                task_type.migration_energy[current] if migratable else None
-            )
-            budget = self._deadline_budget(context, task)
+            # t_left; for a predicted task, measured from its arrival.
+            if task.is_predicted and task.arrival is not None:
+                budget = task.absolute_deadline - max(time, task.arrival)
+            else:
+                budget = task.absolute_deadline - time
             threshold = budget + _EPS
-            row_f: list[float] = []
-            row_c: list[float] = []
-            for i in resources:
-                wcet = wcets[i]
-                if wcet == _INF or (down and i in down):
-                    row_f.append(_INF)
-                    row_c.append(_INF)
-                    continue
-                if run_np and i != current:
-                    base_c = wcet
-                    base_e = energies[i]
-                else:
-                    base_c = wcet * fraction
-                    base_e = energies[i] * fraction
-                if cm_row is not None and i != current:
-                    cpm = base_c + cm_row[i]
-                    energy = base_e + em_row[i]  # type: ignore[index]
-                elif i == current:
-                    cpm = base_c + pending
-                    energy = base_e
-                else:
-                    cpm = base_c
-                    energy = base_e
-                penalty = deadline_penalty if cpm > threshold else 0.0
-                row_f.append(energy + penalty)
-                row_c.append(cpm)
-            job_id = task.job_id
-            desirability[job_id] = row_f
-            exec_times[job_id] = row_c
-            preference[job_id] = [
-                i
-                for _, i in sorted(
-                    (row_f[i], i) for i in resources if row_c[i] != _INF
+            if (
+                task.remaining_fraction == 1.0
+                and task.pending_migration_time == 0.0
+                and not down
+            ):
+                # An unstarted task's rows depend on its type and these
+                # three flags only: memoised on the type, unpenalised.
+                key = (current, run_np, migratable)
+                cached = task_type.row_cache.get(key)
+                if cached is None:
+                    cached = _unstarted_rows(task_type, *key)
+                    task_type.row_cache[key] = cached
+                row_c, row_e, executable, max_c, row_f, order = cached
+                penalised = max_c > threshold
+            else:
+                row_c, row_e, executable = _exec_rows(
+                    task_type,
+                    task.remaining_fraction,
+                    current,
+                    run_np,
+                    task.pending_migration_time,
+                    migratable,
+                    down,
                 )
-            ]
+                penalised = True
+            if penalised:
+                row_f = [
+                    e + deadline_penalty if c > threshold else e + 0.0
+                    for c, e in zip(row_c, row_e, strict=True)
+                ]
+                order = _preference(row_f, executable)
+            rows_of[task.job_id] = (row_c, row_e, row_f, order)
 
         # One incremental EDF timeline per resource: placements insert,
         # IsSchedulable probes (no full replay per query).
@@ -210,7 +246,7 @@ class HeuristicResourceManager(MappingStrategy):
                 if task.current_resource is None:
                     continue
                 resource = task.current_resource
-                exec_time = exec_times[task.job_id][resource]
+                exec_time = rows_of[task.job_id][0][resource]
                 if exec_time == _INF:
                     raise ValueError(
                         f"job {task.job_id} mapped to resource {resource} "
@@ -226,99 +262,96 @@ class HeuristicResourceManager(MappingStrategy):
                 ].feasible():
                     return MappingDecision.infeasible()
 
-        sorted_ids = sorted(unmapped)
         # Candidate lists (resources with capacity left, in preference
         # order), maintained incrementally: capacities only ever shrink,
         # and only the placed-on resource shrinks per round, so pruning
         # that one resource from every list reproduces the per-round
-        # filter exactly.
-        candidates_of = {
-            job_id: [
-                i
-                for i in preference[job_id]
-                if exec_times[job_id][i] <= capacity[i] + _EPS
-            ]
-            for job_id in sorted_ids
-        }
-        while unmapped:
-            # Lines 7-23: pick the unmapped task with the largest regret.
-            chosen: PlannedTask | None = None
-            chosen_candidates: list[int] = []
-            best_regret = -_INF
-            for job_id in sorted_ids:
-                candidates = candidates_of[job_id]
-                if not candidates:
-                    return MappingDecision.infeasible()  # line 22: exit
-                f_row = desirability[job_id]
-                if len(candidates) == 1:
-                    regret = _INF  # line 14: must place now
-                else:
-                    regret = f_row[candidates[1]] - f_row[candidates[0]]
-                if regret > best_regret:
-                    best_regret = regret
-                    chosen = unmapped[job_id]
-                    chosen_candidates = candidates
-                    if regret == _INF:
-                        # Nothing can beat inf under the strict `>`;
-                        # skipping the rest of the scan is decision-
-                        # preserving (see the module docstring).
-                        break
+        # filter exactly.  ``max_exec[i]`` bounds every cpm still listed
+        # under resource ``i``: while the capacity threshold stays at or
+        # above it, a prune pass on ``i`` would remove nothing.
+        candidates_of: dict[int, list[int]] = {}
+        max_exec = [-_INF] * n
+        # The regret order: a heap of (-regret, job_id); see the module
+        # docstring for why its top is the task the scan would pick.
+        # ``regret_key`` holds the live key of each unmapped task; heap
+        # entries that disagree with it are stale.
+        regret_key: dict[int, float] = {}
+        limits = [c + _EPS for c in capacity]
+        for job_id in unmapped:
+            row_c, _, row_f, order = rows_of[job_id]
+            candidates = [i for i in order if row_c[i] <= limits[i]]
+            for i in candidates:
+                if row_c[i] > max_exec[i]:
+                    max_exec[i] = row_c[i]
+            candidates_of[job_id] = candidates
+            regret_key[job_id] = _regret_key(row_f, candidates)
+        heap = [(key, job_id) for job_id, key in regret_key.items()]
+        heapify(heap)
 
-            assert chosen is not None
+        while regret_key:
+            # Lines 7-23: pick the unmapped task with the largest regret.
+            key, job_id = heappop(heap)
+            while key != regret_key.get(job_id):
+                key, job_id = heappop(heap)
+            candidates = candidates_of.pop(job_id)
+            if not candidates:
+                return MappingDecision.infeasible()  # line 22: exit
+            del regret_key[job_id]
+            chosen = unmapped.pop(job_id)
+            row_c, _, row_f, _ = rows_of[job_id]
             # Lines 24-34: place on the most desirable schedulable resource.
-            placed = False
-            chosen_exec = exec_times[chosen.job_id]
-            for resource in chosen_candidates:
-                exec_time = chosen_exec[resource]
+            for resource in candidates:
+                exec_time = row_c[resource]
                 if self._is_schedulable(
                     timelines[resource], context, chosen, resource, exec_time
                 ):
-                    mapping[chosen.job_id] = resource
-                    capacity[resource] -= exec_time
-                    place(chosen, resource, exec_time)
-                    placed = True
-                    if tracing:
-                        tracer.emit(
-                            "heuristic-place",
-                            time=time,
-                            job_id=chosen.job_id,
-                            resource=resource,
-                            data=(
-                                ("desirability", tuple(
-                                    desirability[chosen.job_id]
-                                )),
-                                ("predicted", chosen.is_predicted),
-                                ("regret", best_regret),
-                            ),
-                        )
                     break
-            if not placed:
+            else:
                 return MappingDecision.infeasible()  # line 32: exit
-            del unmapped[chosen.job_id]
-            del candidates_of[chosen.job_id]
-            sorted_ids.remove(chosen.job_id)
-            # Prune the shrunk resource from the remaining candidates.
+            mapping[job_id] = resource
+            capacity[resource] -= exec_time
+            place(chosen, resource, exec_time)
+            if tracing:
+                tracer.emit(
+                    "heuristic-place",
+                    time=time,
+                    job_id=job_id,
+                    resource=resource,
+                    data=(
+                        ("desirability", tuple(row_f)),
+                        ("predicted", chosen.is_predicted),
+                        (
+                            "regret",
+                            _INF  # line 14: a single candidate
+                            if len(candidates) == 1
+                            else row_f[candidates[1]] - row_f[candidates[0]],
+                        ),
+                    ),
+                )
+            # Prune the shrunk resource from the remaining candidates;
+            # only a task that loses one of its first two candidates
+            # changes its regret and needs a fresh heap entry.
             threshold = capacity[resource] + _EPS
-            for job_id in sorted_ids:
-                candidates = candidates_of[job_id]
+            if max_exec[resource] <= threshold:
+                continue
+            for other, candidates in candidates_of.items():
                 if (
                     resource in candidates
-                    and exec_times[job_id][resource] > threshold
+                    and rows_of[other][0][resource] > threshold
                 ):
-                    candidates.remove(resource)
+                    position = candidates.index(resource)
+                    del candidates[position]
+                    if position < 2:
+                        key = _regret_key(rows_of[other][2], candidates)
+                        regret_key[other] = key
+                        heappush(heap, (key, other))
 
-        return MappingDecision(
-            feasible=True,
-            mapping=mapping,
-            energy=mapping_energy(context, mapping),
-        )
-
-    @staticmethod
-    def _deadline_budget(context: RMContext, task: PlannedTask) -> float:
-        """``t_left_j``; for the predicted task, measured from its arrival."""
-        if task.is_predicted and task.arrival is not None:
-            return task.absolute_deadline - max(context.time, task.arrival)
-        return context.t_left(task)
+        # The objective (``mapping_energy``), summed from the rows: the
+        # same terms in the same order.
+        energy = 0.0
+        for task in tasks:
+            energy += rows_of[task.job_id][1][mapping[task.job_id]]
+        return MappingDecision(feasible=True, mapping=mapping, energy=energy)
 
     @staticmethod
     def _is_schedulable(
@@ -352,3 +385,80 @@ class HeuristicResourceManager(MappingStrategy):
                 and not context.platform.is_preemptable(resource)
             ),
         )
+
+
+def _exec_rows(
+    task_type: TaskType,
+    fraction: float,
+    current: int | None,
+    run_np: bool,
+    pending: float,
+    migratable: bool,
+    down: frozenset[int],
+) -> tuple[list[float], list[float], list[int]]:
+    """One task's ``(cpm, energy, executable resources)`` rows.
+
+    The rows are :meth:`PlannedTask.exec_time_on` /
+    :meth:`~PlannedTask.energy_on` column by column, with the same
+    operations on the same operands: ``x * fraction`` and ``x + m`` keep
+    ``inf`` at ``inf``, so a non-executable resource (wcet and energy are
+    finite on exactly the same resources, a TaskType invariant) needs no
+    branch of its own.
+    """
+    wcets = task_type.wcet
+    energies = task_type.energy
+    if run_np:
+        # Leaving the resource aborts the run: restart from scratch.
+        row_c = list(wcets)
+        row_e = list(energies)
+    elif migratable:
+        cm_row = task_type.migration_time[current]  # type: ignore[index]
+        em_row = task_type.migration_energy[current]  # type: ignore[index]
+        row_c = [c * fraction + m for c, m in zip(wcets, cm_row, strict=True)]
+        row_e = [
+            e * fraction + m for e, m in zip(energies, em_row, strict=True)
+        ]
+    else:
+        row_c = [c * fraction for c in wcets]
+        row_e = [e * fraction for e in energies]
+    if current is not None:
+        row_c[current] = wcets[current] * fraction + pending
+        row_e[current] = energies[current] * fraction
+    for i in down:
+        row_c[i] = row_e[i] = _INF
+    return row_c, row_e, [i for i, c in enumerate(row_c) if c != _INF]
+
+
+def _unstarted_rows(
+    task_type: TaskType, current: int | None, run_np: bool, migratable: bool
+) -> _CachedRows:
+    """The :attr:`TaskType.row_cache` entry of an unstarted task (full
+    work, nothing pending, no resource down): its rows, the largest
+    finite cpm, and the unpenalised ``f = energy + 0.0`` with its
+    preference order."""
+    row_c, row_e, executable = _exec_rows(
+        task_type, 1.0, current, run_np, 0.0, migratable, frozenset()
+    )
+    row_f = [e + 0.0 for e in row_e]
+    return (
+        tuple(row_c),
+        tuple(row_e),
+        tuple(executable),
+        max(row_c[i] for i in executable),
+        tuple(row_f),
+        tuple(_preference(row_f, executable)),
+    )
+
+
+def _preference(row_f: _Row, executable: Sequence[int]) -> list[int]:
+    """``executable`` (ascending) sorted by ``(f[i], i)``: a stable sort
+    on ``f`` alone keeps ties in index order."""
+    return sorted(executable, key=row_f.__getitem__)
+
+
+def _regret_key(row_f: _Row, candidates: list[int]) -> float:
+    """Heap key of a task: ``-regret``, with ``-inf`` for a task that must
+    be placed now (one candidate) or cannot be placed (none)."""
+    if len(candidates) < 2:
+        return -_INF
+    return row_f[candidates[0]] - row_f[candidates[1]]

@@ -90,6 +90,12 @@ class TaskType:
         same conventions.
     name:
         Optional label for reporting.
+    row_cache:
+        Scratch table of the heuristic RM (:mod:`repro.core.heuristic`):
+        the cpm/energy rows of an unstarted task of this type, keyed by
+        its current resource and migration flags, filled on first use.
+        Derived data only, so it takes no part in ``==``, ``hash``,
+        ``repr`` or pickling.
     """
 
     type_id: int
@@ -98,6 +104,9 @@ class TaskType:
     migration_time: tuple[tuple[float, ...], ...] = field(default=())
     migration_energy: tuple[tuple[float, ...], ...] = field(default=())
     name: str = ""
+    row_cache: dict[tuple[int | None, bool, bool], tuple] = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         wcet = tuple(float(v) for v in self.wcet)
@@ -130,6 +139,10 @@ class TaskType:
         object.__setattr__(
             self, "migration_energy", _as_matrix(me, n, "migration_energy")
         )
+
+    def __getstate__(self) -> dict[str, object]:
+        """Pickle without :attr:`row_cache` (it refills on first use)."""
+        return {**self.__dict__, "row_cache": {}}
 
     @property
     def n_resources(self) -> int:

@@ -149,6 +149,23 @@ class TestParameters:
         with pytest.raises(ValueError):
             HeuristicResourceManager(deadline_penalty=0.0)
 
+    @pytest.mark.parametrize("penalty", [math.inf, math.nan])
+    def test_non_finite_penalty_rejected(self, penalty):
+        """An infinite ``M`` turns a task that misses its deadline
+        everywhere into regret ``inf - inf = nan``, which no comparison
+        selects; a NaN ``M`` poisons every row.  Both are refused up
+        front instead of failing inside ``solve``."""
+        with pytest.raises(ValueError, match="finite"):
+            HeuristicResourceManager(deadline_penalty=penalty)
+        # The activation that crashed with M = inf: A meets its deadline
+        # nowhere, B is easy.  With a finite M it is simply infeasible.
+        late = planned(
+            0, deadline=3.0, task=make_task(wcet=(5.0, 5.0, 5.0))
+        )
+        easy = planned(1, deadline=100.0)
+        decision = HeuristicResourceManager().solve(ctx([late, easy]))
+        assert not decision.feasible
+
     def test_name(self):
         assert HeuristicResourceManager().name == "heuristic"
         assert "heuristic" in repr(HeuristicResourceManager())
