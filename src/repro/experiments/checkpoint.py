@@ -4,45 +4,36 @@ A matrix run that dies hours in — machine reboot, OOM kill, ctrl-C —
 should not cost the cells that already finished.
 :func:`~repro.experiments.runner.run_matrix` can be given a checkpoint
 path (``run_matrix(..., checkpoint=...)``), at any worker count; it then
-appends one JSON line per finished cell to an append-only journal,
-flushed as written, so a killed run can be restarted with the same
-arguments and the same journal and will re-execute only the incomplete
-cells.
+appends one line per finished cell to an append-only
+:class:`~repro.util.journal.Journal`, flushed as written, so a killed
+run can be restarted with the same arguments and the same journal and
+will re-execute only the incomplete cells.
 
-Why a journal and not a snapshot: appends are atomic at the line level,
-never rewrite completed work, and a torn final line (the crash happened
-mid-write) is detected and dropped on load without losing the prefix.
-
-Format (one JSON object per line):
-
-* header — ``{"magic": "repro-checkpoint-v1", "fingerprint": ...}``; the
-  fingerprint digests the platform, each spec's label, strategy and
-  predictor identity and simulator config, and the traces; a resume
-  against a journal from a *different* matrix is refused.
-* cell — exactly the record :meth:`~repro.experiments.runner.Aggregate.fold`
-  consumes: ``{"spec": i, "trace": j, "rejection_hex": ...,
-  "energy_hex": ..., "wall_time": ..., "solver_calls": ...,
-  "verified": ..., "metrics": ...}`` (``metrics`` only when collected).
-  The two metrics are stored as ``float.hex()`` so resumed aggregates
-  are **bit-identical** to an uninterrupted run.
+The header's fingerprint (:func:`compute_fingerprint`) digests the
+platform, each spec's label, strategy and predictor identity and
+simulator config, and the traces; a resume against a journal from a
+*different* matrix is refused.  Each record is exactly the cell record
+:meth:`~repro.experiments.runner.Aggregate.fold` consumes:
+``{"spec": i, "trace": j, "rejection_hex": ..., "energy_hex": ...,
+"wall_time": ..., "solver_calls": ..., "verified": ..., "metrics": ...}``
+(``metrics`` only when collected).  The two metrics are stored as
+``float.hex()`` so resumed aggregates are **bit-identical** to an
+uninterrupted run.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import math
 import os
 import types
-from typing import IO, Any, Sequence
+from typing import Any, Sequence
 
 from repro.experiments.runner import RunSpec
 from repro.model.platform import Platform
+from repro.util.journal import Journal
 from repro.workload.trace import Trace
 
 __all__ = ["CheckpointError", "CheckpointJournal"]
-
-_MAGIC = "repro-checkpoint-v1"
 
 
 class CheckpointError(RuntimeError):
@@ -77,7 +68,7 @@ def compute_fingerprint(
             digest.update(
                 (
                     f"{request.arrival.hex()},{request.type_id},"
-                    f"{_hex(request.deadline)};"
+                    f"{float(request.deadline).hex()};"
                 ).encode()
             )
     return digest.hexdigest()
@@ -108,109 +99,34 @@ def _factory_identity(label: str, factory: Any) -> str:
     return identity
 
 
-def _hex(value: float) -> str:
-    # float('inf').hex() exists ('inf'), but keep the encoding explicit.
-    return "inf" if math.isinf(value) else value.hex()
-
-
-class CheckpointJournal:
+class CheckpointJournal(Journal):
     """Append-only journal of finished cells for one matrix run."""
 
+    magic = "repro-checkpoint-v1"
+    error = CheckpointError
+    owner = "experiment matrix (platform/specs/traces changed)"
+
     def __init__(self, path: str | os.PathLike[str], fingerprint: str) -> None:
-        self.path = os.fspath(path)
-        self.fingerprint = fingerprint
-        self._completed: dict[tuple[int, int], dict] = {}
-        self._handle: IO[str] | None = None
-        self._load()
+        super().__init__(path, fingerprint, fsync=False)
+        self._completed = {
+            (entry["spec"], entry["trace"]): entry for entry in self._load()
+        }
+
+    @staticmethod
+    def _is_record(record: dict) -> bool:
+        return isinstance(record.get("spec"), int) and isinstance(
+            record.get("trace"), int
+        )
 
     @property
     def completed(self) -> dict[tuple[int, int], dict]:
         """``(spec_index, trace_index) -> journal entry`` already finished."""
         return dict(self._completed)
 
-    def _load(self) -> None:
-        """Replay an existing journal file, tolerating a torn last line."""
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
-        if not lines or not lines[0].strip():
-            return
-        header = self._parse(lines[0])
-        if header is None or header.get("magic") != _MAGIC:
-            raise CheckpointError(
-                f"{self.path}: not a {_MAGIC} journal"
-            )
-        if header.get("fingerprint") != self.fingerprint:
-            raise CheckpointError(
-                f"{self.path}: journal belongs to a different experiment "
-                "matrix (platform/specs/traces changed); refusing to resume"
-            )
-        for position, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            entry = self._parse(line)
-            if entry is None:
-                # A torn line can only be the crash's final write; any
-                # valid line after it means real corruption.
-                remainder = lines[position:]
-                if any(self._parse(rest) for rest in remainder if rest.strip()):
-                    raise CheckpointError(
-                        f"{self.path}:{position}: corrupt journal line "
-                        "followed by valid entries"
-                    )
-                break
-            self._completed[(entry["spec"], entry["trace"])] = entry
-
-    @staticmethod
-    def _parse(line: str) -> dict | None:
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        return entry if isinstance(entry, dict) else None
-
-    def _open(self) -> IO[str]:
-        if self._handle is None:
-            needs_header = not self._has_header()
-            self._handle = open(  # noqa: SIM115 - held across record calls
-                self.path, "a", encoding="utf-8"
-            )
-            if needs_header:
-                self._write(
-                    {"magic": _MAGIC, "fingerprint": self.fingerprint}
-                )
-        return self._handle
-
-    def _has_header(self) -> bool:
-        if not os.path.exists(self.path):
-            return False
-        with open(self.path, encoding="utf-8") as handle:
-            first = handle.readline()
-        header = self._parse(first)
-        return header is not None and header.get("magic") == _MAGIC
-
-    def _write(self, entry: dict) -> None:
-        assert self._handle is not None
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
-
     def record(self, entry: dict) -> None:
         """Append one finished cell (idempotent per unit)."""
         unit = (entry["spec"], entry["trace"])
         if unit in self._completed:
             return
-        self._open()
         self._write(entry)
         self._completed[unit] = entry
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "CheckpointJournal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

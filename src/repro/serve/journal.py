@@ -10,13 +10,10 @@ under :class:`~repro.serve.clock.VirtualClock`; under
 because journaled records carry the server-stamped arrival, while the
 clock itself restarts — the bounded divergence documented in §15).
 
-Format (append-only NDJSON, one JSON object per line):
+Records (one JSON object per line, after the
+:class:`~repro.util.journal.Journal` header, whose fingerprint is
+:func:`service_fingerprint`):
 
-* header — ``{"magic": "repro-serve-journal-v1", "fingerprint": ...}``;
-  the fingerprint (:func:`service_fingerprint`) digests the platform,
-  the task catalog and the decision-relevant service config, so a
-  journal is never replayed into a *different* service (the PR 4
-  checkpoint discipline).
 * intent — ``{"k": "i", "seq": n, "frame": {...}}`` appended *before*
   the engine decides (the "write-ahead" half: a crash between intent
   and outcome re-decides the frame on replay, which is safe because the
@@ -35,13 +32,6 @@ Format (append-only NDJSON, one JSON object per line):
   so recovery always replays from genesis and asserts each recorded
   fingerprint along the way.
 
-Torn final lines (the crash happened mid-write) are detected on load
-and truncated off the file before any new append — dropping them from
-memory alone would leave the next append concatenated onto the torn
-bytes, turning a recoverable tear into real corruption one restart
-later.  A corrupt line *followed by valid records* is real corruption
-and refuses to load.
-
 Write failures never kill the service: a record that cannot be
 appended is queued in memory and re-appended (in order) before any
 later record; the affected response is flagged ``"durable": false``.
@@ -52,16 +42,15 @@ the ``journal-failed`` error code instead of deciding undurably.
 
 from __future__ import annotations
 
-import json
-import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import IO, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.model.platform import Platform
 from repro.model.task import TaskType
+from repro.util.journal import Journal
 
 __all__ = [
     "AdmissionJournal",
@@ -82,10 +71,6 @@ RECORD_KINDS = frozenset({"i", "d", "s", "snap"})
 class ServeJournalError(RuntimeError):
     """The journal cannot be used (wrong service, corrupt body, or a
     replay that diverged from the recorded decisions)."""
-
-
-def _hex(value: float) -> str:
-    return "inf" if math.isinf(value) else float(value).hex()
 
 
 def service_fingerprint(
@@ -109,13 +94,13 @@ def service_fingerprint(
     digest.update(repr(platform).encode())
     for task in tasks:
         digest.update(f"|task:{task.type_id}:{task.name}:".encode())
-        digest.update(",".join(_hex(c) for c in task.wcet).encode())
+        digest.update(",".join(float(c).hex() for c in task.wcet).encode())
         digest.update(b";")
-        digest.update(",".join(_hex(e) for e in task.energy).encode())
+        digest.update(",".join(float(e).hex() for e in task.energy).encode())
         for row in task.migration_time:
-            digest.update(b"|mt:" + ",".join(_hex(v) for v in row).encode())
+            digest.update(b"|mt:" + ",".join(float(v).hex() for v in row).encode())
         for row in task.migration_energy:
-            digest.update(b"|me:" + ",".join(_hex(v) for v in row).encode())
+            digest.update(b"|me:" + ",".join(float(v).hex() for v in row).encode())
     for name in (
         "mode",
         "queue_depth",
@@ -129,7 +114,7 @@ def service_fingerprint(
     ):
         digest.update(f"|{name}:{getattr(config, name, None)!r}".encode())
     overhead = getattr(config, "prediction_overhead", 0.0)
-    digest.update(f"|prediction_overhead:{_hex(overhead)}".encode())
+    digest.update(f"|prediction_overhead:{float(overhead).hex()}".encode())
     digest.update(f"|strategy:{strategy}|predictor:{predictor}".encode())
     return digest.hexdigest()
 
@@ -160,7 +145,7 @@ class _PendingRecord:
     attempts: int = field(default=0)
 
 
-class AdmissionJournal:
+class AdmissionJournal(Journal):
     """Append-only write-ahead journal of one live service's operations.
 
     Parameters
@@ -180,6 +165,10 @@ class AdmissionJournal:
         from :class:`repro.faults.ServeFaultPlan` journal-fault windows.
     """
 
+    magic = SERVE_JOURNAL_MAGIC
+    error = ServeJournalError
+    owner = "service (platform/catalog/config changed)"
+
     def __init__(
         self,
         path: str | os.PathLike[str],
@@ -188,134 +177,17 @@ class AdmissionJournal:
         fsync: bool = True,
         fault_hook: Callable[[dict], bool] | None = None,
     ) -> None:
-        self.path = os.fspath(path)
-        self.fingerprint = fingerprint
-        self.fsync = fsync
+        super().__init__(path, fingerprint, fsync=fsync)
         self.fault_hook = fault_hook
-        self.records: list[dict] = []
         self.write_errors = 0
         self._pending: deque[_PendingRecord] = deque()
-        self._handle: IO[str] | None = None
-        self._last_seq = -1
-        self._load()
-
-    # ------------------------------------------------------------------
-    # Loading
-    # ------------------------------------------------------------------
-
-    def _load(self) -> None:
-        """Replay an existing journal file, tolerating a torn last line.
-
-        The torn tail — the crash's final, partially persisted write:
-        invalid JSON, or a record missing its trailing newline — is not
-        just dropped from memory but **truncated on disk**.  Appends
-        reopen the file in append mode, so without the truncation the
-        first post-recovery record would be concatenated onto the torn
-        bytes and the *next* load would refuse the journal as corrupt.
-        Only newline-terminated records count as persisted: an append
-        returns (and the response is externalised) strictly after the
-        full line, newline included, was handed to the file, so an
-        unterminated record was never acknowledged and is safe to drop.
-        """
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as handle:
-            raw = handle.read()
-        if not raw.strip():
-            if raw:  # stray whitespace would corrupt the header line
-                os.truncate(self.path, 0)
-            return
-        cut = raw.rfind(b"\n") + 1
-        body, tail = raw[:cut], raw[cut:]
-        if not body:
-            # A single unterminated line: the header itself was torn by
-            # a crash during journal creation (no record can precede
-            # the header, so truncating to empty is a safe recovery).
-            self._recover_torn_header(tail)
-            return
-        lines = body.split(b"\n")[:-1]
-        self._check_header(
-            self._parse(lines[0].decode("utf-8", errors="replace"))
-        )
-        # Byte offset just past the last valid newline-terminated
-        # record — the truncation point when the tail is torn.
-        good_end = len(lines[0]) + 1
-        offset = good_end
-        torn_at: int | None = None
-        position = 1
-        for raw_line in lines[1:]:
-            position += 1
-            line_end = offset + len(raw_line) + 1
-            text = raw_line.decode("utf-8", errors="replace")
-            if not text.strip():
-                offset = good_end = line_end
-                continue
-            record = self._parse(text)
-            if record is None or record.get("k") not in RECORD_KINDS:
-                torn_at = position
-                break
-            self.records.append(record)
-            seq = record.get("seq")
-            if isinstance(seq, int) and seq > self._last_seq:
-                self._last_seq = seq
-            offset = good_end = line_end
-        if torn_at is not None:
-            # A torn line can only be the crash's final write; any
-            # valid line after it means real corruption.
-            remainder = lines[position:]
-            if tail:
-                remainder = [*remainder, tail]
-            if any(
-                self._parse(rest.decode("utf-8", errors="replace"))
-                is not None
-                for rest in remainder
-                if rest.strip()
-            ):
-                raise ServeJournalError(
-                    f"{self.path}:{torn_at}: corrupt journal line "
-                    "followed by valid records"
-                )
-        if good_end < len(raw):
-            os.truncate(self.path, good_end)
-
-    def _check_header(self, header: dict | None) -> None:
-        if header is None or header.get("magic") != SERVE_JOURNAL_MAGIC:
-            raise ServeJournalError(
-                f"{self.path}: not a {SERVE_JOURNAL_MAGIC} journal"
-            )
-        if header.get("fingerprint") != self.fingerprint:
-            raise ServeJournalError(
-                f"{self.path}: journal belongs to a different service "
-                "(platform/catalog/config changed); refusing to replay"
-            )
-
-    def _recover_torn_header(self, tail: bytes) -> None:
-        text = tail.decode("utf-8", errors="replace")
-        header = self._parse(text)
-        if header is not None:
-            # Complete header, missing only its newline: verify it is
-            # ours, then start the journal over.
-            self._check_header(header)
-            os.truncate(self.path, 0)
-            return
-        expected = json.dumps(
-            {"magic": SERVE_JOURNAL_MAGIC, "fingerprint": self.fingerprint},
-            sort_keys=True,
-        )
-        if expected.startswith(text):
-            os.truncate(self.path, 0)
-            return
-        raise ServeJournalError(
-            f"{self.path}: not a {SERVE_JOURNAL_MAGIC} journal"
-        )
+        self.records = self._load()
+        seqs = [r["seq"] for r in self.records if isinstance(r.get("seq"), int)]
+        self._last_seq: int = max([-1, *seqs])
 
     @staticmethod
-    def _parse(line: str) -> dict | None:
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        return record if isinstance(record, dict) else None
+    def _is_record(record: dict) -> bool:
+        return record.get("k") in RECORD_KINDS
 
     # ------------------------------------------------------------------
     # Appending
@@ -354,7 +226,7 @@ class AdmissionJournal:
         record = {
             "k": "d",
             "seq": seq,
-            "arrival": _hex(arrival),
+            "arrival": float(arrival).hex(),
             "response": response_payload,
         }
         return self._append(record)
@@ -430,39 +302,7 @@ class AdmissionJournal:
     def _write(self, record: dict) -> None:
         if self.fault_hook is not None and self.fault_hook(record):
             raise OSError("injected journal fault")
-        handle = self._open()
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-        handle.flush()
-        if self.fsync:
-            os.fsync(handle.fileno())
-
-    def _open(self) -> IO[str]:
-        if self._handle is None:
-            needs_header = not self._has_header()
-            self._handle = open(  # noqa: SIM115 - held across appends
-                self.path, "a", encoding="utf-8"
-            )
-            if needs_header:
-                header = {
-                    "magic": SERVE_JOURNAL_MAGIC,
-                    "fingerprint": self.fingerprint,
-                }
-                self._handle.write(json.dumps(header, sort_keys=True) + "\n")
-                self._handle.flush()
-                if self.fsync:
-                    os.fsync(self._handle.fileno())
-        return self._handle
-
-    def _has_header(self) -> bool:
-        if not os.path.exists(self.path):
-            return False
-        with open(self.path, encoding="utf-8") as handle:
-            first = handle.readline()
-        header = self._parse(first)
-        return (
-            header is not None
-            and header.get("magic") == SERVE_JOURNAL_MAGIC
-        )
+        super()._write(record)
 
     # ------------------------------------------------------------------
     # Reporting / lifecycle
@@ -479,28 +319,13 @@ class AdmissionJournal:
 
     def close(self) -> None:
         self._drain_pending()
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "AdmissionJournal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        super().close()
 
 
 def load_journal_records(path: str | os.PathLike[str]) -> list[dict]:
     """Read a journal's records without fingerprint knowledge (tooling:
     ``repro chaos`` reads the header's own fingerprint first)."""
-    path = os.fspath(path)
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
-    header = AdmissionJournal._parse(first)
-    if header is None or header.get("magic") != SERVE_JOURNAL_MAGIC:
-        raise ServeJournalError(f"{path}: not a {SERVE_JOURNAL_MAGIC} journal")
-    journal = AdmissionJournal(path, str(header.get("fingerprint")))
-    try:
-        return list(journal.records)
-    finally:
-        journal.close()
+    with open(path, "rb") as handle:
+        header = AdmissionJournal._parse(handle.readline()) or {}
+    with AdmissionJournal(path, str(header.get("fingerprint"))) as journal:
+        return journal.records

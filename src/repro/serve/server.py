@@ -110,10 +110,6 @@ _HISTOGRAM_BOUNDS = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 _CACHEABLE_STATUSES = frozenset({"accepted", "rejected"})
 
 
-def _fhex(value: float) -> str:
-    return "inf" if math.isinf(value) else float(value).hex()
-
-
 @dataclass(frozen=True)
 class ServeConfig:
     """Service knobs (the live analogue of ``SimulationConfig``).
@@ -553,13 +549,13 @@ class AdmissionEngine:
         digest = sha256()
         state = self.state
         digest.update(
-            f"time:{_fhex(state.time)}|decisions:{self.decisions}".encode()
+            f"time:{float(state.time).hex()}|decisions:{self.decisions}".encode()
         )
         digest.update(
             (
-                f"|energy:{_fhex(state.total_energy)},"
-                f"{_fhex(state.migration_energy)},"
-                f"{_fhex(state.wasted_energy)}"
+                f"|energy:{float(state.total_energy).hex()},"
+                f"{float(state.migration_energy).hex()},"
+                f"{float(state.wasted_energy).hex()}"
                 f"|migrations:{state.migration_count}"
                 f"|aborts:{state.abort_count}"
                 f"|finished:{len(state.finished)}"
@@ -570,17 +566,17 @@ class AdmissionEngine:
             digest.update(
                 (
                     f"|job:{job_id}:{job.resource}:"
-                    f"{_fhex(job.remaining_fraction)}:"
+                    f"{float(job.remaining_fraction).hex()}:"
                     f"{int(job.started)}{int(job.running_non_preemptable)}:"
-                    f"{_fhex(job.pending_migration_time)}:"
-                    f"{_fhex(job.energy_consumed)}:"
+                    f"{float(job.pending_migration_time).hex()}:"
+                    f"{float(job.energy_consumed).hex()}:"
                     f"{job.migrations}:{job.aborts}"
                 ).encode()
             )
         digest.update(
             (
                 f"|log:{len(self.log.requests)}:{int(self.log.closed)}"
-                f"|last_arrival:{_fhex(self._last_arrival)}"
+                f"|last_arrival:{float(self._last_arrival).hex()}"
                 f"|cooldown:{self._cooldown}"
             ).encode()
         )
@@ -589,7 +585,8 @@ class AdmissionEngine:
             digest.update(
                 (
                     f"|forecast:{forecast.type_id}:"
-                    f"{_fhex(forecast.arrival)}:{_fhex(forecast.deadline)}"
+                    f"{float(forecast.arrival).hex()}:"
+                    f"{float(forecast.deadline).hex()}"
                 ).encode()
             )
         for job_id in sorted(self._job_tenants):

@@ -171,6 +171,126 @@ class TestJournal:
         with pytest.raises(CheckpointError, match="not a"):
             CheckpointJournal(path, "fp")
 
+    def test_append_after_torn_tail_survives_second_resume(self, tmp_path):
+        """The torn bytes must be cut off the file, not just skipped:
+        the next append would otherwise be glued onto them and the
+        second resume would refuse the journal as corrupt."""
+        path = tmp_path / "journal.jsonl"
+        with CheckpointJournal(path, "fp") as journal:
+            journal.record({"spec": 0, "trace": 0, "ok": True})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"spec": 1, "trace": 0, "ok"')  # crash mid-write
+        with CheckpointJournal(path, "fp") as journal:  # first resume
+            assert set(journal.completed) == {(0, 0)}
+            journal.record({"spec": 1, "trace": 0, "ok": True})
+            journal.record({"spec": 1, "trace": 1, "ok": True})
+        reloaded = CheckpointJournal(path, "fp")  # second resume
+        assert set(reloaded.completed) == {(0, 0), (1, 0), (1, 1)}
+
+    def test_unterminated_final_cell_dropped_and_truncated(self, tmp_path):
+        # A cell whose newline never landed may be glued to the next
+        # append; it is dropped (so the cell re-runs) and cut off.
+        path = tmp_path / "journal.jsonl"
+        with CheckpointJournal(path, "fp") as journal:
+            journal.record({"spec": 0, "trace": 0, "ok": True})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"spec": 0, "trace": 1, "ok": True}))
+        with CheckpointJournal(path, "fp") as journal:
+            assert set(journal.completed) == {(0, 0)}
+            assert path.read_bytes().endswith(b"\n")
+            journal.record({"spec": 0, "trace": 1, "ok": True})
+        assert set(CheckpointJournal(path, "fp").completed) == {
+            (0, 0),
+            (0, 1),
+        }
+
+    def test_torn_header_recovers_to_empty_journal(self, tmp_path):
+        # A crash while the journal is created can tear the header; no
+        # cell can precede it, so the resume starts from empty.
+        path = tmp_path / "journal.jsonl"
+        with CheckpointJournal(path, "fp") as journal:
+            journal.record({"spec": 0, "trace": 0, "ok": True})
+        header_line = path.read_text().split("\n")[0]
+        path.write_text(header_line[: len(header_line) // 2])
+        with CheckpointJournal(path, "fp") as journal:
+            assert journal.completed == {}
+            journal.record({"spec": 0, "trace": 0, "ok": True})
+        assert set(CheckpointJournal(path, "fp").completed) == {(0, 0)}
+
+    def test_foreign_record_refused(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with CheckpointJournal(path, "fp") as journal:
+            journal.record({"spec": 0, "trace": 0, "ok": True})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"foo": 1}\n')
+            handle.write(
+                json.dumps({"spec": 1, "trace": 0, "ok": True}) + "\n"
+            )
+        with pytest.raises(CheckpointError, match="corrupt"):
+            CheckpointJournal(path, "fp")
+
+
+FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint-v1.jsonl"
+
+
+class TestOnDiskCompat:
+    """A journal written by an earlier release (2 specs x 2 traces of
+    ``standard_traces(VT, n_traces=2, n_requests=8, master_seed=5)``)
+    must keep loading: same header bytes, same records, same
+    fingerprint."""
+
+    @pytest.fixture
+    def journal_copy(self, tmp_path):
+        path = tmp_path / FIXTURE.name
+        path.write_bytes(FIXTURE.read_bytes())
+        return path
+
+    @staticmethod
+    def _matrix():
+        scale = HarnessScale(n_traces=2, n_requests=8, master_seed=5)
+        return standard_platform(), standard_traces(DeadlineGroup.VT, scale)
+
+    def test_fingerprint_rebuilds_from_the_same_inputs(self):
+        platform, traces = self._matrix()
+        header = json.loads(FIXTURE.read_text().splitlines()[0])
+        assert header["magic"] == "repro-checkpoint-v1"
+        assert header["fingerprint"] == compute_fingerprint(
+            platform, _specs(), traces
+        )
+
+    def test_loads_every_cell_unchanged(self, journal_copy):
+        platform, traces = self._matrix()
+        lines = FIXTURE.read_text().splitlines()
+        journal = CheckpointJournal(
+            journal_copy, compute_fingerprint(platform, _specs(), traces)
+        )
+        assert journal.completed == {
+            (cell["spec"], cell["trace"]): cell
+            for cell in map(json.loads, lines[1:])
+        }
+        assert set(journal.completed) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        journal.close()
+        assert journal_copy.read_bytes() == FIXTURE.read_bytes()
+
+    def test_resume_executes_nothing(self, journal_copy):
+        platform, traces = self._matrix()
+        calls: list[tuple] = []
+        resumed = run_matrix(
+            traces,
+            platform,
+            _specs(),
+            progress=lambda *args: calls.append(args),
+            checkpoint=str(journal_copy),
+        )
+        assert calls == []
+        cells = [json.loads(line) for line in FIXTURE.read_text().splitlines()[1:]]
+        for index, spec in enumerate(_specs()):
+            assert resumed[spec.label].normalized_energies == [
+                float.fromhex(cell["energy_hex"])
+                for cell in cells
+                if cell["spec"] == index
+            ]
+
 
 class TestRunMatrixCheckpoint:
     def test_checkpoint_rejects_keep_results(self, matrix, tmp_path):
@@ -257,6 +377,28 @@ class TestRunMatrixCheckpoint:
         total = len(_specs()) * len(traces)
         assert len(calls) == total - 2  # only the incomplete cells ran
         _assert_bit_identical(resumed, reference)
+
+    def test_repeated_tears_resume_bit_identically(self, matrix, tmp_path):
+        platform, traces = matrix
+        reference = run_matrix(traces, platform, _specs())
+        path = tmp_path / "j.jsonl"
+        run_matrix(traces, platform, _specs(), checkpoint=str(path))
+        # A crash mid-append of the third cell, then one mid-append of
+        # the last cell of the resumed run.
+        for torn_line in (3, -1):
+            _tear_line(path, torn_line)
+            resumed = run_matrix(
+                traces, platform, _specs(), checkpoint=str(path)
+            )
+            _assert_bit_identical(resumed, reference)
+
+
+def _tear_line(path: Path, index: int) -> None:
+    """Keep the journal's lines before ``index`` and half of that line."""
+    lines = path.read_text().splitlines(keepends=True)
+    torn = lines[index]
+    kept = lines[: index % len(lines)]
+    path.write_text("".join(kept) + torn[: len(torn) // 2])
 
 
 _KILL_SCRIPT = textwrap.dedent(
