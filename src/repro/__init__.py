@@ -95,10 +95,9 @@ from repro.registry import (
     resolve_predictor,
     resolve_strategy,
 )
-from repro.serve import Clock, VirtualClock, WallClock
 
 if False:  # pragma: no cover - typing-time only, see __getattr__ below
-    from repro.serve import AdmissionServer, ServeClient, ServeConfig
+    from repro.serve import AdmissionServer, ServeClient, ServeConfig, WallClock
 from repro.sim import (
     SimulationConfig,
     SimulationResult,
@@ -169,8 +168,6 @@ __all__ = [
     "register_strategy",
     "register_predictor",
     # serve
-    "Clock",
-    "VirtualClock",
     "WallClock",
     "AdmissionServer",
     "ServeClient",
@@ -208,9 +205,8 @@ __all__ = [
 ]
 
 #: Server-stack names resolved lazily (PEP 562) so ``import repro``
-#: stays free of asyncio and the daemon; the clock family above is
-#: stdlib-only and imported eagerly.
-_LAZY_SERVE = ("AdmissionServer", "ServeClient", "ServeConfig")
+#: stays free of asyncio and the daemon.
+_LAZY_SERVE = ("AdmissionServer", "ServeClient", "ServeConfig", "WallClock")
 
 
 def __getattr__(name: str) -> object:

@@ -127,8 +127,8 @@ class LintConfig:
         Module prefixes holding event-loop engine logic; RPR103 and
         RPR104 apply only there.
     clock_exempt_prefixes:
-        Modules inside ``serve_prefixes`` that *implement* the Clock
-        protocol and may read the OS clock (RPR104).
+        Modules inside ``serve_prefixes`` that *implement* the live
+        ``WallClock`` and may read the OS clock (RPR104).
     shared_state_roots:
         Attribute names naming loop/thread-shared engine objects
         (RPR103 watches attribute chains through them).

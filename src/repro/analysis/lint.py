@@ -12,7 +12,7 @@ family modules and register with the engine at import time:
   :mod:`repro.serve`: ``RPR101`` blocking calls in ``async def``,
   ``RPR102`` unawaited coroutines, ``RPR103`` shared engine state
   mutated off the dispatch queue, ``RPR104`` OS-clock reads bypassing
-  the Clock protocol.
+  ``WallClock`` and ``PlatformState.time``.
 * :mod:`repro.analysis.rules_protocol` — the wire-contract family:
   ``RPR201`` declared-but-unhandled control ops, ``RPR202``
   declared-but-dead error codes, ``RPR203`` emitted-but-undeclared

@@ -23,12 +23,13 @@ break sim/live parity:
     configured dispatcher set that assigns through, or calls a mutating
     method on, a shared-state attribute chain re-introduces the
     interleaving the queue exists to prevent.
-``RPR104`` — OS clock read bypassing the Clock protocol.
-    Inside the serve packages, every time source must be a
-    :class:`~repro.serve.clock.Clock` — ``time.*`` and asyncio's
-    ``loop.time()`` readings diverge between replay and live modes and
-    void the parity guarantee.  Only the Clock implementations
-    themselves (``clock_exempt_prefixes``) may touch the OS clock.
+``RPR104`` — OS clock read bypassing ``WallClock``.
+    Inside the serve packages, decisions read the platform state's
+    logical time (``PlatformState.time``) and live arrival stamps come
+    from :class:`~repro.serve.clock.WallClock` — ``time.*`` and
+    asyncio's ``loop.time()`` readings diverge between replay and live
+    modes and void the parity guarantee.  Only the wall-clock module
+    itself (``clock_exempt_prefixes``) may touch the OS clock.
 
 All four rules are pure AST checks configured by
 :class:`~repro.analysis.engine.LintConfig`; RPR103/RPR104 apply only to
@@ -194,7 +195,7 @@ class SharedStateRule(LintRule):
 @register_rule
 class ServeClockRule(LintRule):
     id = "RPR104"
-    description = "OS clock read in serve logic bypassing the Clock protocol"
+    description = "OS clock read in serve logic bypassing WallClock"
 
     def visit_call(
         self, ctx: RuleContext, node: ast.Call, dotted: str | None
@@ -212,9 +213,9 @@ class ServeClockRule(LintRule):
             ctx.emit(
                 self.id,
                 node,
-                f"{dotted}() in serve logic bypasses the Clock protocol; "
-                "read time via the engine's clock (Clock.now) so replay "
-                "and live modes stay interchangeable",
+                f"{dotted}() in serve logic bypasses WallClock; read "
+                "PlatformState.time (or WallClock.now for a live arrival "
+                "stamp) so replay and live modes stay interchangeable",
             )
             return
         # asyncio's event-loop clock is just as much a wall clock here.
@@ -222,6 +223,6 @@ class ServeClockRule(LintRule):
             ctx.emit(
                 self.id,
                 node,
-                "event-loop clock read in serve logic bypasses the Clock "
-                "protocol; read time via Clock.now",
+                "event-loop clock read in serve logic bypasses WallClock; "
+                "read PlatformState.time or WallClock.now",
             )

@@ -20,7 +20,7 @@ These are the PR-2 rules, re-hosted on the rule-registry engine:
     ``time.time()``-style wall-clock reads are banned everywhere;
     monotonic duration timers (``perf_counter`` ...) are allowed only in
     the config's ``monotonic_allowed_prefixes`` (observability layers,
-    the Clock adapter, tests) — never in sim/sched/core logic, where
+    the live ``WallClock``, tests) — never in sim/sched/core logic, where
     they would leak host timing into results.
 ``RPR003`` — registry bypass.
     Direct construction of a registered strategy/predictor class

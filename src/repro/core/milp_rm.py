@@ -42,6 +42,7 @@ from repro.core.base import (
 )
 from repro.core.context import PlannedTask, RMContext
 from repro.milp.model import LinExpr, Model, Variable
+from repro.sched.timeline import EPS
 
 __all__ = ["MilpResourceManager", "MilpValidationError"]
 
@@ -155,7 +156,13 @@ class MilpResourceManager(MappingStrategy):
         big_m = self._big_m(context, tasks, candidates)
         sp_rel = 0.0
         if predicted is not None:
-            sp_rel = max(0.0, (predicted.arrival or context.time) - context.time)
+            # An arrival within EPS of now has already arrived, as in
+            # build_timeline (``arrival <= start + EPS``).  Snapping it
+            # also keeps HiGHS off a right-hand side equal to its MIP
+            # feasibility tolerance, where it stops with a solve error.
+            offset = (predicted.arrival or context.time) - context.time
+            if offset > EPS:
+                sp_rel = offset
 
         for i in range(n):
             self._add_resource_constraints(

@@ -1,59 +1,46 @@
 """Online resource-management service (live daemon) — DESIGN.md §12/§15.
 
-Two layers live here:
+:mod:`repro.serve.server` (asyncio NDJSON admission service) runs the
+simulator's engine behind a socket, on the platform state's logical
+time; :mod:`repro.serve.clock` holds the :class:`WallClock` that stamps
+live arrivals.  Around them: :mod:`repro.serve.protocol` (wire frames),
+:mod:`repro.serve.depository` (Elasecutor-style per-tenant usage
+depository), :mod:`repro.serve.journal` (write-ahead admission journal:
+crash recovery by replay), :mod:`repro.serve.client` (blocking test
+client with typed timeouts and idempotent retry),
+:mod:`repro.serve.smoke` (self-test driver used by CI and
+``repro serve --smoke``) and :mod:`repro.serve.chaos` (the seeded
+SIGKILL/fault-injection harness behind ``repro chaos``).
 
-* :mod:`repro.serve.clock` — the dual-mode :class:`Clock` protocol
-  (:class:`VirtualClock` for discrete-event replay, :class:`WallClock`
-  for live operation).  Import-light (stdlib only): the simulator
-  depends on it, so it must not pull the server stack in.
-* the daemon itself — :mod:`repro.serve.server` (asyncio NDJSON
-  admission service), :mod:`repro.serve.protocol` (wire frames),
-  :mod:`repro.serve.depository` (Elasecutor-style per-tenant usage
-  depository), :mod:`repro.serve.journal` (write-ahead admission
-  journal: crash recovery by replay), :mod:`repro.serve.client`
-  (blocking test client with typed timeouts and idempotent retry),
-  :mod:`repro.serve.smoke` (self-test driver used by CI and
-  ``repro serve --smoke``) and :mod:`repro.serve.chaos` (the seeded
-  SIGKILL/fault-injection harness behind ``repro chaos``).
-
-The server stack imports :mod:`repro.sim`, which imports this package
-for the clock — so everything except the clock is loaded lazily via
-module ``__getattr__`` (PEP 562) to keep the import graph acyclic.
+Nothing below :mod:`repro.serve` imports it, so the package loads its
+submodules directly.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.serve.clock import Clock, VirtualClock, WallClock
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serve.chaos import ChaosConfig, ChaosReport, run_chaos
-    from repro.serve.client import (
-        RetryPolicy,
-        ServeClient,
-        ServeTimeoutError,
-    )
-    from repro.serve.depository import TenantUsage, UsageDepository
-    from repro.serve.journal import (
-        AdmissionJournal,
-        ServeJournalError,
-        service_fingerprint,
-    )
-    from repro.serve.protocol import (
-        AdmitRequest,
-        AdmitResponse,
-        ProtocolError,
-        decode_frame,
-        encode_frame,
-    )
-    from repro.serve.server import (
-        AdmissionServer,
-        RecoveryReport,
-        ServeConfig,
-        recover_engine,
-    )
-    from repro.serve.smoke import SmokeReport, run_smoke
+from repro.serve.chaos import ChaosConfig, ChaosReport, run_chaos
+from repro.serve.client import RetryPolicy, ServeClient, ServeTimeoutError
+from repro.serve.clock import WallClock
+from repro.serve.depository import TenantUsage, UsageDepository
+from repro.serve.journal import (
+    AdmissionJournal,
+    ServeJournalError,
+    service_fingerprint,
+)
+from repro.serve.protocol import (
+    AdmitRequest,
+    AdmitResponse,
+    ProtocolError,
+    decode_frame,
+    encode_frame,
+)
+from repro.serve.server import (
+    AdmissionServer,
+    RecoveryReport,
+    ServeConfig,
+    recover_engine,
+)
+from repro.serve.smoke import SmokeReport, run_smoke
 
 __all__ = [
     "AdmissionJournal",
@@ -62,7 +49,6 @@ __all__ = [
     "AdmitResponse",
     "ChaosConfig",
     "ChaosReport",
-    "Clock",
     "ProtocolError",
     "RecoveryReport",
     "RetryPolicy",
@@ -73,7 +59,6 @@ __all__ = [
     "SmokeReport",
     "TenantUsage",
     "UsageDepository",
-    "VirtualClock",
     "WallClock",
     "decode_frame",
     "encode_frame",
@@ -82,38 +67,3 @@ __all__ = [
     "run_smoke",
     "service_fingerprint",
 ]
-
-_LAZY = {
-    "AdmissionJournal": "repro.serve.journal",
-    "AdmissionServer": "repro.serve.server",
-    "AdmitRequest": "repro.serve.protocol",
-    "AdmitResponse": "repro.serve.protocol",
-    "ChaosConfig": "repro.serve.chaos",
-    "ChaosReport": "repro.serve.chaos",
-    "ProtocolError": "repro.serve.protocol",
-    "RecoveryReport": "repro.serve.server",
-    "RetryPolicy": "repro.serve.client",
-    "ServeClient": "repro.serve.client",
-    "ServeConfig": "repro.serve.server",
-    "ServeJournalError": "repro.serve.journal",
-    "ServeTimeoutError": "repro.serve.client",
-    "SmokeReport": "repro.serve.smoke",
-    "TenantUsage": "repro.serve.depository",
-    "UsageDepository": "repro.serve.depository",
-    "decode_frame": "repro.serve.protocol",
-    "encode_frame": "repro.serve.protocol",
-    "recover_engine": "repro.serve.server",
-    "run_chaos": "repro.serve.chaos",
-    "run_smoke": "repro.serve.smoke",
-    "service_fingerprint": "repro.serve.journal",
-}
-
-
-def __getattr__(name: str) -> object:
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value: object = getattr(importlib.import_module(module_name), name)
-    return value

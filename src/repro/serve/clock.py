@@ -1,100 +1,27 @@
-"""The dual-mode time source behind the simulation/live split.
+"""The live service's wall clock.
 
-The simulator and the live daemon (:mod:`repro.serve.server`) run the
-*same* admission engine — platform state, admission control, strategies,
-predictors — against different notions of time:
-
-* :class:`VirtualClock` is the discrete-event mode: time is a number the
-  engine pushes forward to the next event boundary.  This is exactly the
-  arithmetic the historical simulator performed inline
-  (``self.time = max(self.time, until)``), extracted behind the
-  protocol; replays through it are bit-identical to the pre-``Clock``
-  code (pinned by the golden digests).
-* :class:`WallClock` is the live mode: time flows on its own, scaled by
-  a ``speed`` factor mapping wall seconds to simulation time units
-  (``speed=60`` plays one simulated minute per wall second — the
-  "compressed time" of the parity tests).  ``advance`` cannot push wall
-  time and is a no-op returning the current reading.
-
-The split mirrors oar3's dual-mode ``Platform`` (one scheduler codebase,
-``get_time`` vs ``get_time_simu``) but inverts the dependency: engines
-hold a :class:`Clock` and never know which mode they run in.
+The engine reads one time: :attr:`repro.sim.state.PlatformState.time`,
+the logical cursor that only ``PlatformState.advance`` moves.  A live
+server additionally needs a reading of *now* to stamp admit frames that
+declare no arrival; :class:`WallClock` supplies it, scaled by a
+``speed`` factor mapping wall seconds to simulation time units
+(``speed=60`` plays one simulated minute per wall second — the
+"compressed time" of the parity tests).  Replay mode never constructs
+one: every frame declares its arrival.
 
 ``WallClock`` is the repository's *only* sanctioned wall-time reader for
-engine code (lint rule RPR002 whitelists :mod:`repro.serve`); virtual
-replays never touch the OS clock at all.
+serve logic (lint rule RPR104 exempts this module alone); replays never
+touch the OS clock at all.
 """
 
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 
-__all__ = ["Clock", "VirtualClock", "WallClock"]
-
-
-class Clock(ABC):
-    """Protocol for the engine's time source (see module docstring).
-
-    ``mode`` is ``"virtual"`` or ``"wall"``; engines may branch on it for
-    reporting but must not change decision logic by mode.
-    """
-
-    mode: str = "abstract"
-
-    @abstractmethod
-    def now(self) -> float:
-        """The current simulation-time reading."""
-
-    @abstractmethod
-    def reset(self, start: float = 0.0) -> None:
-        """Rebase the clock so that ``now()`` reads ``start``.
-
-        The simulator calls this once per run so a shared clock instance
-        can be replayed; the live server calls it once at service start
-        (the service epoch is simulation time 0).
-        """
-
-    @abstractmethod
-    def advance(self, until: float) -> float:
-        """Move logical time forward to at least ``until``; returns ``now()``.
-
-        Virtual mode jumps (never backwards); wall mode cannot be pushed
-        and simply returns the current reading.  Engines call this after
-        execution bookkeeping so clock and platform state stay in step.
-        """
-
-    def seconds_until(self, when: float) -> float:
-        """Wall seconds to sleep until simulation time ``when`` (0 when
-        already reached; always 0 in virtual mode, where waiting is free)."""
-        return 0.0
+__all__ = ["WallClock"]
 
 
-class VirtualClock(Clock):
-    """Discrete-event time: a number the engine pushes forward."""
-
-    mode = "virtual"
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = start
-
-    def now(self) -> float:
-        return self._now
-
-    def reset(self, start: float = 0.0) -> None:
-        self._now = start
-
-    def advance(self, until: float) -> float:
-        # Bit-identical to the historical `max(self.time, until)`.
-        if until > self._now:
-            self._now = until
-        return self._now
-
-    def __repr__(self) -> str:
-        return f"VirtualClock(now={self._now})"
-
-
-class WallClock(Clock):
+class WallClock:
     """Live time: ``now()`` follows the OS monotonic clock, scaled.
 
     Parameters
@@ -105,29 +32,12 @@ class WallClock(Clock):
         parity suite replay hours of trace in seconds).
     """
 
-    mode = "wall"
-
     def __init__(self, speed: float = 1.0) -> None:
         if speed <= 0:
             raise ValueError(f"speed must be > 0, got {speed}")
         self.speed = speed
         self._origin = time.perf_counter()
-        self._offset = 0.0
 
     def now(self) -> float:
-        return (time.perf_counter() - self._origin) * self.speed + self._offset
-
-    def reset(self, start: float = 0.0) -> None:
-        self._origin = time.perf_counter()
-        self._offset = start
-
-    def advance(self, until: float) -> float:
-        # Wall time cannot be pushed; it advances on its own.
-        return self.now()
-
-    def seconds_until(self, when: float) -> float:
-        remaining = (when - self.now()) / self.speed
-        return remaining if remaining > 0 else 0.0
-
-    def __repr__(self) -> str:
-        return f"WallClock(speed={self.speed}, now={self.now():.3f})"
+        """Simulation time since construction (the service epoch)."""
+        return (time.perf_counter() - self._origin) * self.speed

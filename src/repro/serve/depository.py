@@ -24,7 +24,11 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-__all__ = ["TenantUsage", "UsageDepository"]
+__all__ = ["REPROVISION_COOLDOWN", "TenantUsage", "UsageDepository"]
+
+#: Decisions after a reprovision pass during which the server suppresses
+#: predictions (the no-prediction fallback path).
+REPROVISION_COOLDOWN = 16
 
 
 @dataclass

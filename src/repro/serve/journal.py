@@ -4,11 +4,11 @@ The live daemon's engine state is a deterministic fold over the totally
 ordered stream of dispatched operations.  Persisting that stream — and
 nothing else — is therefore enough to survive a SIGKILL: a restarted
 server replays the journal through a fresh :class:`AdmissionEngine` and
-lands on the exact pre-crash state (bit-identical engine fingerprint
-under :class:`~repro.serve.clock.VirtualClock`; under
-:class:`~repro.serve.clock.WallClock` the *engine* state is still exact
-because journaled records carry the server-stamped arrival, while the
-clock itself restarts — the bounded divergence documented in §15).
+lands on the exact pre-crash state (bit-identical engine fingerprint in
+replay mode; in live mode the *engine* state is still exact because
+journaled records carry the server-stamped arrival, while the
+:class:`~repro.serve.clock.WallClock` itself restarts — the bounded
+divergence documented in §15).
 
 Records (one JSON object per line, after the
 :class:`~repro.util.journal.Journal` header, whose fingerprint is
@@ -35,9 +35,9 @@ Records (one JSON object per line, after the
 Write failures never kill the service: a record that cannot be
 appended is queued in memory and re-appended (in order) before any
 later record; the affected response is flagged ``"durable": false``.
-Only *intent* appends are load-bearing for safety — when the configured
-policy requires durability, a failed intent refuses the operation with
-the ``journal-failed`` error code instead of deciding undurably.
+Only *intent* appends are load-bearing for safety: a failed intent is
+not queued, and the server refuses the operation with the
+``journal-failed`` error code instead of deciding undurably.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from typing import Callable, Sequence
 
 from repro.model.platform import Platform
 from repro.model.task import TaskType
+from repro.serve.depository import REPROVISION_COOLDOWN
 from repro.util.journal import Journal
 
 __all__ = [
@@ -85,8 +86,8 @@ def service_fingerprint(
 
     Covers the platform layout, the full task catalog (``float.hex``
     encoded, so numerically different catalogs never collide on
-    rounding), the decision-relevant :class:`ServeConfig` fields, and
-    the strategy/predictor labels.  Socket-level knobs (host, port,
+    rounding), the decision-relevant :class:`ServeConfig` fields, the
+    reprovision cooldown, and the strategy/predictor labels.  Socket-level knobs (host, port,
     fsync cadence) are deliberately excluded: moving a journal to a new
     port is a restart, not a different service.
     """
@@ -110,9 +111,11 @@ def service_fingerprint(
         "error_window",
         "error_threshold",
         "min_observations",
-        "reprovision_cooldown",
     ):
         digest.update(f"|{name}:{getattr(config, name, None)!r}".encode())
+    # The cooldown is a constant now; hashed under its former config
+    # field name so headers written before keep matching.
+    digest.update(f"|reprovision_cooldown:{REPROVISION_COOLDOWN!r}".encode())
     overhead = getattr(config, "prediction_overhead", 0.0)
     digest.update(f"|prediction_overhead:{float(overhead).hex()}".encode())
     digest.update(f"|strategy:{strategy}|predictor:{predictor}".encode())
@@ -203,20 +206,15 @@ class AdmissionJournal(Journal):
         """Records waiting for a successful re-append."""
         return len(self._pending)
 
-    def append_intent(
-        self, seq: int, frame_payload: dict, *, queue_on_failure: bool = False
-    ) -> bool:
+    def append_intent(self, seq: int, frame_payload: dict) -> bool:
         """Write-ahead half of one admit op.
 
-        By default not queued on failure: when durability is required
-        the server refuses the op, and queueing the intent would later
-        journal an operation that never executed.  The relaxed policy
-        (``journal_required=False``) passes ``queue_on_failure=True``
-        because there the op *does* proceed.
+        Not queued on failure: the server refuses the op, and queueing
+        the intent would later journal an operation that never executed.
         """
         return self._append(
             {"k": "i", "seq": seq, "frame": frame_payload},
-            queue_on_failure=queue_on_failure,
+            queue_on_failure=False,
         )
 
     def append_outcome(

@@ -39,10 +39,9 @@ the NDJSON protocol of :mod:`repro.serve.protocol`:
   :class:`~repro.serve.journal.AdmissionJournal` (intent before the
   decision, outcome before the reply), a restarted server replays the
   journal to the exact pre-crash engine state
-  (:func:`recover_engine` — bit-identical fingerprint under
-  :class:`~repro.serve.clock.VirtualClock`), and client-supplied
-  idempotency keys make retried ops return the original decision
-  instead of re-admitting;
+  (:func:`recover_engine` — bit-identical fingerprint in replay
+  mode), and client-supplied idempotency keys make retried ops return
+  the original decision instead of re-admitting;
 * wire-level fault injection: an optional
   :class:`~repro.faults.serve.ServeFaultPlan` mutilates the response
   path (injected latency, truncated/garbage NDJSON, mid-frame
@@ -69,8 +68,8 @@ from repro.model.request import PredictedRequest, Request
 from repro.model.task import TaskType
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.predict.base import NullPredictor, Predictor
-from repro.serve.clock import Clock, VirtualClock, WallClock
-from repro.serve.depository import UsageDepository
+from repro.serve.clock import WallClock
+from repro.serve.depository import REPROVISION_COOLDOWN, UsageDepository
 from repro.serve.journal import (
     AdmissionJournal,
     ServeJournalError,
@@ -109,6 +108,9 @@ _HISTOGRAM_BOUNDS = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 #: the same key *should* be re-decided once capacity frees up.
 _CACHEABLE_STATUSES = frozenset({"accepted", "rejected"})
 
+#: Global bound on the dispatch queue across all tenants.
+_DISPATCH_DEPTH = 1024
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -122,17 +124,16 @@ class ServeConfig:
     mode:
         ``"live"`` stamps undeclared arrivals from a
         :class:`~repro.serve.clock.WallClock` scaled by ``speed``;
-        ``"replay"`` runs a :class:`~repro.serve.clock.VirtualClock` and
-        requires every admit frame to declare its arrival — the mode the
-        parity suite uses to compare against ``simulate()``.
+        ``"replay"`` reads no wall clock and requires every admit frame
+        to declare its arrival — the mode the parity suite uses to
+        compare against ``simulate()``.  Either way decisions run on
+        the platform state's logical time.
     speed:
         Simulation time units per wall second in live mode (time
         compression; ignored in replay mode).
     queue_depth:
         Per-tenant bound on requests queued for dispatch; the excess is
         shed with an explicit response (backpressure, not buffering).
-    dispatch_depth:
-        Global bound on the dispatch queue across all tenants.
     tenant_quota:
         Maximum unfinished admitted jobs one tenant may hold; admits
         beyond it get a structured ``"over-quota"`` reject.  ``None``
@@ -147,10 +148,10 @@ class ServeConfig:
         ``solver_fallback``.
     error_window, error_threshold, min_observations:
         Forwarded to the :class:`~repro.serve.depository.UsageDepository`
-        reprovision trigger.
-    reprovision_cooldown:
-        Decisions after a reprovision pass during which predictions are
-        suppressed (the no-prediction fallback path).
+        reprovision trigger.  After a reprovision pass, predictions are
+        suppressed for
+        :data:`~repro.serve.depository.REPROVISION_COOLDOWN` decisions
+        (the no-prediction fallback path).
     journal_path:
         Write-ahead admission journal file (DESIGN.md §15); ``None``
         (default) disables durability.  An existing journal from the
@@ -158,13 +159,11 @@ class ServeConfig:
         is replayed on construction — the crash-recovery path.
     journal_fsync:
         Whether every journal append is fsynced (default on: durable
-        against power loss, not just process death).
-    journal_required:
-        With a journal configured, whether an admit whose *intent*
-        record cannot be written is refused with ``journal-failed``
-        (fail-stop, the safe default) instead of decided undurably.
-        Outcome-append failures are always queued for re-append and
-        flagged ``"durable": false`` — the decision already happened.
+        against power loss, not just process death).  An admit whose
+        *intent* record cannot be written is refused with
+        ``journal-failed`` (fail-stop); outcome-append failures are
+        queued for re-append and flagged ``"durable": false`` — the
+        decision already happened.
     snapshot_every:
         Decisions between journal snapshot records (engine fingerprint
         + metrics + depository — recovery verification waypoints);
@@ -178,7 +177,6 @@ class ServeConfig:
     mode: str = "live"
     speed: float = 1.0
     queue_depth: int = 64
-    dispatch_depth: int = 1024
     tenant_quota: int | None = None
     prediction_overhead: float = 0.0
     lookahead: int = 1
@@ -188,10 +186,8 @@ class ServeConfig:
     error_window: int = 32
     error_threshold: float = 0.5
     min_observations: int = 8
-    reprovision_cooldown: int = 16
     journal_path: str | None = None
     journal_fsync: bool = True
-    journal_required: bool = True
     snapshot_every: int = 64
     idempotency_cache: int = 4096
 
@@ -226,12 +222,6 @@ class ServeConfig:
                 "idempotency_cache must be >= 1, "
                 f"got {self.idempotency_cache}"
             )
-
-    def make_clock(self) -> Clock:
-        """The clock implied by the mode."""
-        if self.mode == "replay":
-            return VirtualClock()
-        return WallClock(speed=self.speed)
 
 
 class RequestLog:
@@ -303,20 +293,19 @@ class AdmissionEngine:
         predictor: Predictor | None,
         tasks: Sequence[TaskType],
         config: ServeConfig,
-        *,
-        clock: Clock | None = None,
     ) -> None:
         self.platform = platform
         self.config = config
-        self.clock = clock if clock is not None else config.make_clock()
         self.strategy = strategy
         self.predictor = predictor or NullPredictor()
         self.predictor.reset()
         self.state = PlatformState(
             platform,
             charge_unstarted_migration=config.charge_unstarted_migration,
-            clock=self.clock,
         )
+        # Live mode stamps undeclared arrivals from the wall clock;
+        # replay mode reads only the platform state's logical time.
+        self._wall = WallClock(config.speed) if config.mode == "live" else None
         self.log = RequestLog(tasks)
         self.metrics = MetricsRegistry()
         self.depository = UsageDepository(
@@ -356,7 +345,7 @@ class AdmissionEngine:
             )
         arrival = frame.arrival
         if arrival is None:
-            arrival = self.clock.now()
+            arrival = self._now()
         # The stream is totally ordered by the dispatcher; a stale wall
         # reading or out-of-order declaration never moves time backwards.
         arrival = max(arrival, self._last_arrival)
@@ -486,6 +475,11 @@ class AdmissionEngine:
     def _advance(self, until: float) -> None:
         self._complete(self.state.advance(until))
 
+    def _now(self) -> float:
+        """The arrival stamp of a frame that declares none."""
+        wall = self._wall
+        return wall.now() if wall is not None else self.state.time
+
     def _degrade(self, event: DegradationEvent) -> None:
         """Fold one degradation from the shared step into service state.
 
@@ -524,7 +518,7 @@ class AdmissionEngine:
         the predictor down and re-solve the active mapping."""
         if self._cooldown > 0 or not self.depository.should_reprovision():
             return
-        self._cooldown = self.config.reprovision_cooldown
+        self._cooldown = REPROVISION_COOLDOWN
         self.depository.mark_reprovisioned()
         self.metrics.inc("serve/reprovisions")
         if self.state.jobs:
@@ -615,7 +609,7 @@ class AdmissionEngine:
         return {
             "mode": self.config.mode,
             "time": self.state.time,
-            "clock": self.clock.now(),
+            "clock": self._now(),
             "decisions": self.decisions,
             "active_jobs": len(self.state.jobs),
             "depository": self.depository.snapshot(),
@@ -727,8 +721,8 @@ def recover_engine(
     over the full request log and cannot be resumed mid-stream).
 
     Outcome records carry the server-stamped arrival, so a journal
-    written under a :class:`~repro.serve.clock.WallClock` still replays
-    deterministically; only the clock itself restarts (§15's bounded
+    written in live mode still replays deterministically; only the
+    :class:`~repro.serve.clock.WallClock` restarts (§15's bounded
     divergence).  A trailing intent without an outcome — the crash
     window — is re-decided: its client never received a response, so
     whatever the replay decides *becomes* the decision, and the
@@ -931,7 +925,7 @@ class AdmissionServer:
         )
         self._server: asyncio.AbstractServer | None = None
         self._dispatch: asyncio.Queue = asyncio.Queue(
-            maxsize=config.dispatch_depth
+            maxsize=_DISPATCH_DEPTH
         )
         self._pending: dict[str, int] = {}
         self._dispatcher: asyncio.Task | None = None
@@ -1057,38 +1051,25 @@ class AdmissionServer:
         is atomic on the single-threaded event loop — journal order *is*
         engine mutation order, which is what makes replay exact.
         """
-        if frame.idem is not None:
-            cached = self._idem_cache.get(frame.idem)
-            if cached is not None:
-                self.engine.metrics.inc("serve/idempotent_hits")
-                payload = dict(cached)
-                payload["duplicate"] = True
-                if frame.id is not None:
-                    payload["id"] = frame.id
-                return payload
+        duplicate = self._duplicate(frame)
+        if duplicate is not None:
+            return duplicate
         journal = self._journal
         seq = self._next_seq
         self._next_seq += 1
         durable = True
         if journal is not None:
-            # Write-ahead half.  When durability is required, a frame
-            # whose intent cannot be journaled is refused *before* any
-            # engine mutation — no decision exists, so a retry after the
-            # journal recovers is fresh, not a duplicate.
-            wrote = journal.append_intent(
-                seq,
-                _frame_payload(frame),
-                queue_on_failure=not self.config.journal_required,
-            )
-            if not wrote:
+            # Write-ahead half: a frame whose intent cannot be journaled
+            # is refused *before* any engine mutation — no decision
+            # exists, so a retry after the journal recovers is fresh,
+            # not a duplicate.
+            if not journal.append_intent(seq, _frame_payload(frame)):
                 self.engine.metrics.inc("serve/journal_errors")
-                if self.config.journal_required:
-                    return error_payload(
-                        "journal-failed",
-                        "admission journal unavailable; retry later",
-                        id=frame.id,
-                    )
-                durable = False
+                return error_payload(
+                    "journal-failed",
+                    "admission journal unavailable; retry later",
+                    id=frame.id,
+                )
         try:
             payload = self.engine.decide(frame).to_payload()
         except Exception as exc:  # noqa: BLE001 - report, don't die
@@ -1115,6 +1096,21 @@ class AdmissionServer:
             )
         if not durable:
             payload["durable"] = False
+        return payload
+
+    def _duplicate(self, frame: AdmitRequest) -> dict | None:
+        """The original decision for a retried idempotency key, marked
+        ``"duplicate"``; ``None`` when the key is new or absent."""
+        if frame.idem is None:
+            return None
+        cached = self._idem_cache.get(frame.idem)
+        if cached is None:
+            return None
+        self.engine.metrics.inc("serve/idempotent_hits")
+        payload = dict(cached)
+        payload["duplicate"] = True
+        if frame.id is not None:
+            payload["id"] = frame.id
         return payload
 
     def _remember(self, key: str, payload: dict) -> None:
@@ -1294,16 +1290,12 @@ class AdmissionServer:
                 )
             )
             return
-        if frame.idem is not None and frame.idem in self._idem_cache:
-            # Duplicate of an already-committed decision: answer from the
-            # cache even when the queue is full (a retry must never be
-            # shed into a different outcome than its original).
-            self.engine.metrics.inc("serve/idempotent_hits")
-            cached = dict(self._idem_cache[frame.idem])
-            cached["duplicate"] = True
-            if frame.id is not None:
-                cached["id"] = frame.id
-            await responses.put(cached)
+        # Duplicate of an already-committed decision: answer from the
+        # cache even when the queue is full (a retry must never be shed
+        # into a different outcome than its original).
+        duplicate = self._duplicate(frame)
+        if duplicate is not None:
+            await responses.put(duplicate)
             return
         pending = self._pending.get(frame.tenant, 0)
         if pending >= self.config.queue_depth:

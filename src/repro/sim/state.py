@@ -27,7 +27,6 @@ from repro.model.platform import Platform
 from repro.model.request import Request
 from repro.model.task import TaskType
 from repro.obs.events import NULL_TRACER, Tracer
-from repro.serve.clock import Clock, VirtualClock
 
 __all__ = ["JobState", "PlatformState", "SimulationError", "ExecutionSpan"]
 
@@ -117,18 +116,13 @@ class PlatformState:
         charge_unstarted_migration: bool = False,
         log_execution: bool = False,
         tracer: Tracer = NULL_TRACER,
-        clock: Clock | None = None,
     ) -> None:
         self.platform = platform
         self.charge_unstarted_migration = charge_unstarted_migration
         self.tracer = tracer
         # `time` is the logical execution cursor — a plain float, never a
-        # live clock reading, so replays are deterministic.  The clock is
-        # kept in step (`clock.advance`) after every advance; under a
-        # VirtualClock the two are equal, under a WallClock the clock
-        # runs ahead on its own and advance() is a no-op observer.
-        self.clock: Clock = clock if clock is not None else VirtualClock()
-        self.clock.reset(0.0)
+        # live clock reading, so replays are deterministic.  It is the
+        # only time the engine reads; only `advance` moves it.
         self.time = 0.0
         self.jobs: dict[int, JobState] = {}  # unfinished admitted jobs
         self.finished: list[JobState] = []
@@ -362,7 +356,6 @@ class PlatformState:
             del self._buckets[job.resource][job.job_id]
             self.finished.append(job)
         self.time = max(self.time, until)
-        self.clock.advance(self.time)
         return completed
 
     def _log(

@@ -119,7 +119,7 @@ class TestServeClockRule:
         )
         # monotonic + wall + loop.time(); the wall/monotonic reads also
         # trip the everywhere-rule RPR002, which is fine — RPR104 adds
-        # the serve-specific Clock-protocol message.
+        # the serve-specific WallClock message.
         assert lines_of(findings, "RPR104") == [12, 13, 15]
 
     def test_clock_module_is_exempt(self):

@@ -11,7 +11,7 @@ optimum.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.base import mapping_energy, mapping_feasible
@@ -105,7 +105,43 @@ def random_context(draw):
     return RMContext(time=0.0, platform=PLATFORM, tasks=tuple(tasks))
 
 
+# A GPU-only ready job plus a predicted task arriving at exactly 1e-9
+# (the timeline's EPS and the HiGHS feasibility tolerance): HiGHS used
+# to stop with a solve error, read as infeasible.
+_ARRIVAL_AT_TOLERANCE = RMContext(
+    time=0.0,
+    platform=PLATFORM,
+    tasks=(
+        PlannedTask(
+            job_id=0,
+            task=TaskType(
+                type_id=0,
+                wcet=(math.inf, math.inf, 1.0),
+                energy=(math.inf, math.inf, 1.0),
+                migration_time=0.0,
+                migration_energy=0.0,
+            ),
+            absolute_deadline=28.0,
+        ),
+        PlannedTask(
+            job_id=PREDICTED_JOB_ID,
+            task=TaskType(
+                type_id=0,
+                wcet=(1.0, 1.0, 20.0),
+                energy=(1.0, 1.0, 1.0),
+                migration_time=0.0,
+                migration_energy=0.0,
+            ),
+            absolute_deadline=1e-9 + 27.0,
+            is_predicted=True,
+            arrival=1e-9,
+        ),
+    ),
+)
+
+
 @given(random_context())
+@example(_ARRIVAL_AT_TOLERANCE)
 @settings(max_examples=120, deadline=None)
 def test_milp_matches_exact_search(context):
     milp = MilpResourceManager().solve(context)

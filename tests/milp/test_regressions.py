@@ -119,3 +119,65 @@ class TestBoundaryNonMonotonicity:
         assert exact.feasible and milp.feasible
         assert exact.energy == pytest.approx(3.0)
         assert milp.energy == pytest.approx(3.0)
+
+
+class TestArrivalAtFeasibilityTolerance:
+    """A predicted arrival of exactly 1e-9 — the timeline's EPS and the
+    HiGHS MIP feasibility tolerance at once — put that value on the
+    right-hand side of the arrival constraints, and HiGHS stopped with
+    a solve error the RM read as "infeasible".  An arrival within EPS of
+    the activation counts as already arrived, so the MILP now plans it
+    from the activation time, as the timeline does."""
+
+    @staticmethod
+    def build_context(arrival):
+        import math
+
+        from repro.core.context import (
+            PREDICTED_JOB_ID,
+            PlannedTask,
+            RMContext,
+        )
+        from repro.model.platform import Platform
+        from repro.model.task import TaskType
+
+        def mk(wcet, energy):
+            return TaskType(
+                type_id=0, wcet=wcet, energy=energy,
+                migration_time=0.0, migration_energy=0.0,
+            )
+
+        tasks = (
+            PlannedTask(
+                job_id=0,
+                task=mk((math.inf, math.inf, 1.0), (math.inf, math.inf, 1.0)),
+                absolute_deadline=28.0,
+            ),
+            PlannedTask(
+                job_id=PREDICTED_JOB_ID,
+                task=mk((1.0, 1.0, 20.0), (1.0, 1.0, 1.0)),
+                absolute_deadline=arrival + 27.0,
+                is_predicted=True,
+                arrival=arrival,
+            ),
+        )
+        return RMContext(
+            time=0.0, platform=Platform.cpu_gpu(2, 1), tasks=tasks
+        )
+
+    @pytest.mark.parametrize("arrival", [9.9e-10, 1e-9, 1.01e-9])
+    def test_milp_agrees_with_exact_search(self, arrival):
+        from repro.core.base import mapping_feasible
+        from repro.core.context import PREDICTED_JOB_ID
+        from repro.core.exact import ExactResourceManager
+        from repro.core.milp_rm import MilpResourceManager
+
+        context = self.build_context(arrival)
+        assert mapping_feasible(context, {0: 2, PREDICTED_JOB_ID: 0})
+        exact = ExactResourceManager().solve(context)
+        milp = MilpResourceManager().solve(context)
+        bnb = MilpResourceManager(backend="bnb").solve(context)
+        assert exact.feasible and milp.feasible and bnb.feasible
+        assert exact.energy == pytest.approx(2.0)
+        assert milp.energy == pytest.approx(2.0)
+        assert bnb.energy == pytest.approx(2.0)

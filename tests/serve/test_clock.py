@@ -1,46 +1,10 @@
-"""The dual-mode Clock protocol (repro.serve.clock)."""
+"""The live service's wall clock (repro.serve.clock)."""
 
 import time
 
 import pytest
 
-from repro.serve.clock import Clock, VirtualClock, WallClock
-
-
-class TestVirtualClock:
-    def test_starts_at_zero(self):
-        assert VirtualClock().now() == 0.0
-
-    def test_custom_start(self):
-        assert VirtualClock(start=5.0).now() == 5.0
-
-    def test_advance_moves_forward(self):
-        clock = VirtualClock()
-        assert clock.advance(3.5) == 3.5
-        assert clock.now() == 3.5
-
-    def test_advance_never_moves_backwards(self):
-        clock = VirtualClock()
-        clock.advance(10.0)
-        assert clock.advance(4.0) == 10.0
-        assert clock.now() == 10.0
-
-    def test_reset(self):
-        clock = VirtualClock()
-        clock.advance(10.0)
-        clock.reset(2.0)
-        assert clock.now() == 2.0
-
-    def test_seconds_until_is_zero(self):
-        # Virtual time is free: the caller never sleeps.
-        clock = VirtualClock()
-        assert clock.seconds_until(1e9) == 0.0
-
-    def test_mode(self):
-        assert VirtualClock().mode == "virtual"
-
-    def test_is_a_clock(self):
-        assert isinstance(VirtualClock(), Clock)
+from repro.serve.clock import WallClock
 
 
 class TestWallClock:
@@ -65,30 +29,6 @@ class TestWallClock:
         time.sleep(0.001)
         assert fast.now() > slow.now()
 
-    def test_reset_rebases(self):
-        clock = WallClock(speed=1.0)
-        time.sleep(0.001)
-        clock.reset(100.0)
-        assert 100.0 <= clock.now() < 101.0
-
-    def test_advance_is_an_observer(self):
-        clock = WallClock(speed=1.0)
-        # advance() never jumps a wall clock; it just reads it.
-        assert clock.advance(1e9) < 1e9
-
-    def test_seconds_until_scales_by_speed(self):
-        clock = WallClock(speed=100.0)
-        clock.reset(0.0)
-        wait = clock.seconds_until(50.0)
-        assert 0.0 <= wait <= 0.5  # 50 sim units at 100x is <= 0.5s real
-
-    def test_seconds_until_past_is_zero(self):
-        clock = WallClock(speed=1.0)
-        assert clock.seconds_until(-100.0) == 0.0
-
     def test_rejects_nonpositive_speed(self):
         with pytest.raises(ValueError, match="speed"):
             WallClock(speed=0.0)
-
-    def test_mode(self):
-        assert WallClock().mode == "wall"

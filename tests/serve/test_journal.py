@@ -257,7 +257,7 @@ class TestPendingQueue:
         journal = make_journal(
             tmp_path / "j.ndjson", fault_hook=lambda record: True
         )
-        assert not journal.append_intent(0, {}, queue_on_failure=False)
+        assert not journal.append_intent(0, {})
         assert journal.pending_records == 0
         assert journal.write_errors == 1
 

@@ -6,7 +6,7 @@ construction; these tests smoke-check it end to end.  They push the
 same trace through
 
 * ``simulate()`` (the historical, golden-pinned path),
-* a **replay**-mode server (VirtualClock) over the real socket protocol,
+* a **replay**-mode server (logical time only) over the real socket protocol,
 * a **live**-mode server (compressed-time WallClock) with declared
   arrivals,
 

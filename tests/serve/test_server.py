@@ -7,12 +7,15 @@ full wire path, not engine internals.
 
 import asyncio
 import threading
+import time
 
 import pytest
 
+from repro.core.heuristic import HeuristicResourceManager
 from repro.model.platform import Platform
 from repro.serve.client import ServeClient, fetch_metrics_text
-from repro.serve.server import AdmissionServer, ServeConfig
+from repro.serve.protocol import AdmitRequest
+from repro.serve.server import AdmissionEngine, AdmissionServer, ServeConfig
 from repro.serve.smoke import run_smoke
 from repro.workload.taskgen import TaskSetConfig, generate_task_set
 
@@ -382,6 +385,40 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="tenant_quota"):
             ServeConfig(tenant_quota=0)
 
-    def test_make_clock_by_mode(self):
-        assert ServeConfig(mode="replay").make_clock().mode == "virtual"
-        assert ServeConfig(mode="live").make_clock().mode == "wall"
+
+class TestArrivalStamp:
+    """A frame that declares no arrival is stamped from the platform
+    state's logical time in replay mode and from the scaled wall clock
+    in live mode; ``stats()["clock"]`` reads the same source."""
+
+    @staticmethod
+    def engine(config: ServeConfig) -> AdmissionEngine:
+        platform = Platform.cpu_gpu(n_cpus=2, n_gpus=1)
+        tasks = generate_task_set(platform, TaskSetConfig(n_tasks=5))
+        return AdmissionEngine(
+            platform, HeuristicResourceManager(), None, tasks, config
+        )
+
+    def test_replay_stamps_logical_time(self):
+        engine = self.engine(replay_config())
+        engine.decide(
+            AdmitRequest(tenant="t0", task=0, deadline=1e6, arrival=5.0)
+        )
+        response = engine.decide(
+            AdmitRequest(tenant="t0", task=1, deadline=1e6)
+        )
+        assert response.arrival == engine.state.time == 5.0
+        assert engine.stats()["clock"] == 5.0
+
+    def test_live_stamps_scaled_wall_clock(self):
+        speed = 1000.0
+        before = time.perf_counter()
+        engine = self.engine(ServeConfig(mode="live", speed=speed))
+        time.sleep(0.01)
+        response = engine.decide(
+            AdmitRequest(tenant="t0", task=0, deadline=1e6)
+        )
+        elapsed = time.perf_counter() - before
+        assert 0.01 * speed <= response.arrival <= elapsed * speed
+        assert engine.state.time == response.arrival
+        assert engine.stats()["clock"] >= response.arrival
