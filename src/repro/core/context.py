@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from repro.model import EPS
 from repro.model.platform import Platform
 from repro.model.task import TaskType
 
@@ -292,7 +293,7 @@ class RMContext:
         return tuple(
             i
             for i in range(self.platform.size)
-            if i not in down and self.cpm(task, i) <= budget + 1e-9
+            if i not in down and self.cpm(task, i) <= budget + EPS
         )
 
     def without_prediction(self) -> "RMContext":

@@ -84,12 +84,12 @@ from heapq import heapify, heappop, heappush
 
 from repro.core.base import MappingDecision, MappingStrategy
 from repro.core.context import PlannedTask, RMContext
+from repro.model import EPS
 from repro.model.task import TaskType
 from repro.sched.timeline import Timeline
 
 __all__ = ["HeuristicResourceManager"]
 
-_EPS = 1e-9
 _INF = math.inf
 
 _Row = Sequence[float]
@@ -172,7 +172,7 @@ class HeuristicResourceManager(MappingStrategy):
                 budget = task.absolute_deadline - max(time, task.arrival)
             else:
                 budget = task.absolute_deadline - time
-            threshold = budget + _EPS
+            threshold = budget + EPS
             if (
                 task.remaining_fraction == 1.0
                 and task.pending_migration_time == 0.0
@@ -276,7 +276,7 @@ class HeuristicResourceManager(MappingStrategy):
         # ``regret_key`` holds the live key of each unmapped task; heap
         # entries that disagree with it are stale.
         regret_key: dict[int, float] = {}
-        limits = [c + _EPS for c in capacity]
+        limits = [c + EPS for c in capacity]
         for job_id in unmapped:
             row_c, _, row_f, order = rows_of[job_id]
             candidates = [i for i in order if row_c[i] <= limits[i]]
@@ -331,7 +331,7 @@ class HeuristicResourceManager(MappingStrategy):
             # Prune the shrunk resource from the remaining candidates;
             # only a task that loses one of its first two candidates
             # changes its regret and needs a fresh heap entry.
-            threshold = capacity[resource] + _EPS
+            threshold = capacity[resource] + EPS
             if max_exec[resource] <= threshold:
                 continue
             for other, candidates in candidates_of.items():

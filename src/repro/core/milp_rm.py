@@ -25,6 +25,10 @@ The formulation optimises the binary mapping variables ``x[j,i]``:
   queue position and absorbs the predicted task's execution time.  One
   truth-forced binary per (resource, SL2 task) encodes the boundary.
 
+The model is emitted directly as rows of a :class:`repro.milp.model.Model`
+(columns, coefficients and bounds), with each big-M condition folded
+into its row's coefficients and right-hand side.
+
 Every optimal mapping returned by the solver is re-validated against the
 ground-truth EDF timeline (:func:`repro.core.base.mapping_feasible`), so
 a formulation/solver discrepancy raises instead of silently corrupting
@@ -33,6 +37,7 @@ experiment results.
 
 from __future__ import annotations
 
+import math
 
 from repro.core.base import (
     MappingDecision,
@@ -41,20 +46,16 @@ from repro.core.base import (
     mapping_feasible,
 )
 from repro.core.context import PlannedTask, RMContext
-from repro.milp.model import LinExpr, Model, Variable
-from repro.sched.timeline import EPS
+from repro.milp.model import Model
+from repro.model import EPS
 
 __all__ = ["MilpResourceManager", "MilpValidationError"]
 
-_SAFETY = 0.0
-"""Deadline tightening applied inside the MILP.
-
-Kept at zero: the EDF timeline accepts boundary-exact finishes (within
-its 1e-9 tolerance), so the MILP must too — and sub-tolerance shaving is
-worse than useless with HiGHS (its MIP feasibility tolerance is larger
-than any safe shave, and near-integral right-hand sides aggravate a
-presolve bug; see repro.milp.scipy_backend).  Every returned mapping is
-re-validated against the exact timeline regardless."""
+_MAX_REPAIRS = 16
+"""Bound on the solve-validate-cut iterations before raising
+:class:`MilpValidationError`.  Each cut removes one mapping the solver's
+tolerances wrongly admitted; in practice a single cut suffices on the
+rare affected activations."""
 
 
 class MilpValidationError(RuntimeError):
@@ -68,45 +69,14 @@ class MilpResourceManager(MappingStrategy):
     ----------
     backend:
         ``"scipy"`` (HiGHS) or ``"bnb"`` (pure-Python branch-and-bound).
-    validate:
-        Re-check returned mappings against the exact EDF timeline,
-        excluding tolerance-corrupted solutions with no-good cuts
-        (default on; disabling also disables the repair loop).
-    time_limit:
-        Optional per-solve wall-clock limit in seconds (scipy backend).
-    max_repairs:
-        Bound on the solve-validate-cut iterations before raising
-        :class:`MilpValidationError` (each cut removes one mapping the
-        solver's tolerances wrongly admitted; in practice a single cut
-        suffices on the rare affected activations).
-    include_predicted_energy:
-        Whether the predicted task's (phantom) energy enters the
-        objective.  True follows the paper's objective (the sum ranges
-        over all of ``S-bar``); False treats the prediction as a pure
-        feasibility reservation — an ablation of how much the phantom
-        term distorts real placements.
     """
 
     name = "milp"
 
-    def __init__(
-        self,
-        backend: str = "scipy",
-        *,
-        validate: bool = True,
-        time_limit: float | None = None,
-        max_repairs: int = 16,
-        include_predicted_energy: bool = True,
-    ) -> None:
+    def __init__(self, backend: str = "scipy") -> None:
         if backend not in ("scipy", "bnb"):
             raise ValueError(f"unknown backend {backend!r}")
-        if max_repairs < 1:
-            raise ValueError(f"max_repairs must be >= 1, got {max_repairs}")
         self.backend = backend
-        self.validate = validate
-        self.time_limit = time_limit
-        self.max_repairs = max_repairs
-        self.include_predicted_energy = include_predicted_energy
 
     def solve(self, context: RMContext) -> MappingDecision:
         """Build, solve and validate the activation MILP (eqs. (1)-(14))."""
@@ -132,26 +102,27 @@ class MilpResourceManager(MappingStrategy):
             candidates[task.job_id] = cands
 
         model = Model("rm-activation")
-        x: dict[tuple[int, int], Variable] = {}
+        x: dict[tuple[int, int], int] = {}
         for task in tasks:
             for i in candidates[task.job_id]:
                 x[task.job_id, i] = model.add_binary(f"x[{task.job_id},{i}]")
 
         # (1) each task on exactly one resource.
         for task in tasks:
-            total = LinExpr()
-            for i in candidates[task.job_id]:
-                total = total + x[task.job_id, i]
-            model.add(total == 1.0, name=f"map[{task.job_id}]")
+            cols = [x[task.job_id, i] for i in candidates[task.job_id]]
+            model.add_row(
+                cols, [1.0] * len(cols), 1.0, 1.0, name=f"map[{task.job_id}]"
+            )
 
-        # Objective: remaining energy + migration overhead.
-        objective = LinExpr()
-        for task in tasks:
-            if task.is_predicted and not self.include_predicted_energy:
-                continue
-            for i in candidates[task.job_id]:
-                objective = objective + x[task.job_id, i] * context.energy(task, i)
-        model.minimize(objective)
+        # Objective: remaining energy + migration overhead, over every
+        # task of S-bar, the predicted one included (the paper's sum).
+        model.minimize(
+            {
+                x[task.job_id, i]: context.energy(task, i)
+                for task in tasks
+                for i in candidates[task.job_id]
+            }
+        )
 
         big_m = self._big_m(context, tasks, candidates)
         sp_rel = 0.0
@@ -165,7 +136,7 @@ class MilpResourceManager(MappingStrategy):
                 sp_rel = offset
 
         for i in range(n):
-            self._add_resource_constraints(
+            self._add_resource_rows(
                 model, context, tasks, candidates, x, i, predicted, sp_rel, big_m
             )
 
@@ -175,8 +146,8 @@ class MilpResourceManager(MappingStrategy):
         # mapping that fails the exact EDF timeline is therefore excluded
         # with a no-good cut and the model re-solved; cut mappings are
         # infeasible in the true semantics, so optimality is preserved.
-        for repairs in range(self.max_repairs):
-            solution = model.solve(self.backend, **self._solver_options())
+        for repairs in range(_MAX_REPAIRS):
+            solution = model.solve(self.backend)
             if not solution.optimal:
                 self._trace_solve(context, feasible=False, repairs=repairs)
                 return MappingDecision.infeasible()
@@ -194,23 +165,23 @@ class MilpResourceManager(MappingStrategy):
                     )
                 mapping[task.job_id] = chosen[0]
 
-            if not self.validate or mapping_feasible(context, mapping):
+            if mapping_feasible(context, mapping):
                 self._trace_solve(context, feasible=True, repairs=repairs)
                 return MappingDecision(
                     feasible=True,
                     mapping=mapping,
                     energy=mapping_energy(context, mapping),
                 )
-            selected = LinExpr()
-            for job_id, resource in mapping.items():
-                selected = selected + x[job_id, resource]
-            model.add(
-                selected <= float(len(tasks) - 1),
-                name=f"nogood[{len(model.constraints)}]",
+            selected = [x[job_id, i] for job_id, i in mapping.items()]
+            model.add_row(
+                selected,
+                [1.0] * len(selected),
+                hi=float(len(tasks) - 1),
+                name=f"nogood[{len(model.rows)}]",
             )
         raise MilpValidationError(
             f"MILP kept returning timeline-infeasible mappings after "
-            f"{self.max_repairs} no-good cuts at t={context.time}"
+            f"{_MAX_REPAIRS} no-good cuts at t={context.time}"
         )
 
     def _trace_solve(
@@ -234,11 +205,6 @@ class MilpResourceManager(MappingStrategy):
     # Construction helpers
     # ------------------------------------------------------------------
 
-    def _solver_options(self) -> dict:
-        if self.backend == "scipy" and self.time_limit is not None:
-            return {"time_limit": self.time_limit}
-        return {}
-
     @staticmethod
     def _big_m(
         context: RMContext,
@@ -255,26 +221,26 @@ class MilpResourceManager(MappingStrategy):
             horizon += max(0.0, predicted.arrival - context.time)
         return 2.0 * horizon
 
-    def _add_resource_constraints(
-        self,
+    @staticmethod
+    def _add_resource_rows(
         model: Model,
         context: RMContext,
         tasks: list[PlannedTask],
         candidates: dict[int, tuple[int, ...]],
-        x: dict[tuple[int, int], Variable],
+        x: dict[tuple[int, int], int],
         resource: int,
         predicted: PlannedTask | None,
         sp_rel: float,
         big_m: float,
     ) -> None:
-        """Deadline constraints of one resource (eqs. (3)-(14))."""
+        """Deadline rows of one resource (eqs. (3)-(14)).
 
-        def work(task: PlannedTask) -> LinExpr:
-            """``A_j = x[j,i] * cpm[j,i]`` (zero if not a candidate)."""
-            if resource not in candidates[task.job_id]:
-                return LinExpr()
-            return x[task.job_id, resource] * context.cpm(task, resource)
-
+        Every deadline row of task ``j`` applies only when ``x[j,i] = 1``
+        (the paper's "satisfied only under certain conditions"), encoded
+        big-M: relaxing a ``<=`` row by ``big_m * (1 - x[j,i])`` adds
+        ``big_m`` to ``x[j,i]``'s coefficient and to the right-hand side.
+        A row gated by two binaries adds ``big_m + big_m`` in one sum.
+        """
         preemptable = context.platform.is_preemptable(resource)
         real = [t for t in tasks if not t.is_predicted]
 
@@ -296,107 +262,105 @@ class MilpResourceManager(MappingStrategy):
             and resource in candidates[predicted.job_id]
         )
         p_deadline = predicted.absolute_deadline if predicted is not None else 0.0
+        x_p = x[predicted.job_id, resource] if p_here else -1
         cp_p = context.cpm(predicted, resource) if p_here else 0.0
+        two_m = big_m + big_m
 
-        cumulative = LinExpr()  # running sum of A_k in schedule order
-        queue_ahead = LinExpr()  # work guaranteed to precede the predicted task
+        # Running sums of A_k = x[k,i] * cpm[k,i] in schedule order, as
+        # column/coefficient lists: the work up to and including the
+        # current task (its finish), and the work guaranteed to precede
+        # the predicted task.
+        cum_cols: list[int] = []
+        cum_coeffs: list[float] = []
+        ahead_cols: list[int] = []
+        ahead_coeffs: list[float] = []
+
+        def row(kind, task, cols, coeffs, lo=-math.inf, hi=math.inf):
+            name = f"{kind}[{task.job_id},{resource}]"
+            model.add_row(cols, coeffs, lo, hi, name)
+
         for task in ordered:
-            previous = cumulative  # work ahead of this task (its start)
-            contribution = work(task)
-            cumulative = cumulative + contribution
-            in_sl1 = (
+            if resource not in candidates[task.job_id]:
+                continue  # never mapped here: no work, no deadline row on i
+            x_j = x[task.job_id, resource]
+            cpm = context.cpm(task, resource)
+            cum_cols.append(x_j)
+            cum_coeffs.append(cpm)
+            gated = [*cum_coeffs[:-1], cpm + big_m]  # finish, x[j,i] gated
+            # No safety shave on t_left: the EDF timeline accepts
+            # boundary-exact finishes (within EPS), so the MILP must too.
+            # A shave is worse than useless with HiGHS: its MIP
+            # feasibility tolerance is larger than any safe shave, and
+            # near-integral right-hand sides aggravate a presolve bug
+            # (see repro.milp.scipy_backend).  Every returned mapping is
+            # re-validated against the exact timeline instead.
+            t_left = context.t_left(task)
+            if (
                 forced is task
                 or not p_here
                 or task.absolute_deadline <= p_deadline
-            )
-            if in_sl1:
+            ):
                 # SL1 (and the forced running task) always precede the
                 # predicted task: it can neither preempt them nor outrank
-                # them in the EDF queue.
-                queue_ahead = queue_ahead + contribution
-            if resource not in candidates[task.job_id]:
-                continue  # never mapped here: no deadline constraint on i
-            # Every constraint below applies only when x[j,i] = 1 (the
-            # paper's "satisfied only under certain conditions", encoded
-            # big-M): slack = big_m * (1 - x[j,i]).
-            mapped_slack = (1.0 - x[task.job_id, resource]) * big_m
-            t_left = context.t_left(task) - _SAFETY
-            if in_sl1:
-                # (3)/(6): plain EDF cumulative-work bound.
-                model.add(
-                    cumulative - mapped_slack <= t_left,
-                    name=f"edf[{task.job_id},{resource}]",
-                )
+                # them in the EDF queue.  (3)/(6): plain EDF bound.
+                ahead_cols.append(x_j)
+                ahead_coeffs.append(cpm)
+                row("edf", task, cum_cols, gated, hi=big_m + t_left)
             elif preemptable:
                 # (7)-(14): either the task finishes before s_p, or it
-                # absorbs the predicted task's execution time.
+                # absorbs the predicted task's execution time.  no_delay
+                # gates the first two rows and relaxes the third.
                 no_delay = model.add_binary(f"nodelay[{task.job_id},{resource}]")
-                sel_slack = (1.0 - no_delay) * big_m
-                model.add(
-                    cumulative - sel_slack - mapped_slack <= sp_rel,
-                    name=f"before_sp[{task.job_id},{resource}]",
-                )
-                model.add(
-                    cumulative - sel_slack - mapped_slack <= t_left,
-                    name=f"edf_nodelay[{task.job_id},{resource}]",
-                )
-                delayed = (
-                    cumulative + x[predicted.job_id, resource] * cp_p
-                )
-                model.add(
-                    delayed - no_delay * big_m - mapped_slack <= t_left,
-                    name=f"edf_delayed[{task.job_id},{resource}]",
-                )
+                cols, coeffs = [*cum_cols, no_delay], [*gated, big_m]
+                row("before_sp", task, cols, coeffs, hi=two_m + sp_rel)
+                row("edf_nodelay", task, cols, coeffs, hi=two_m + t_left)
+                cols = [*cum_cols, x_p, no_delay]
+                coeffs = [*gated, cp_p, -big_m]
+                row("edf_delayed", task, cols, coeffs, hi=big_m + t_left)
             else:
                 # Non-preemptive EDF insertion: the task runs before the
                 # predicted one iff it *starts* (= its no-p queue position)
                 # before s_p; the boundary binary is truth-forced so the
                 # solver cannot mis-state the queue order.
                 before = model.add_binary(f"before[{task.job_id},{resource}]")
-                model.add(
-                    previous - (1.0 - before) * big_m - mapped_slack <= sp_rel,
-                    name=f"starts_early[{task.job_id},{resource}]",
-                )
-                model.add(
-                    previous + before * big_m + mapped_slack >= sp_rel,
-                    name=f"starts_late[{task.job_id},{resource}]",
-                )
-                model.add(
-                    cumulative - (1.0 - before) * big_m - mapped_slack
-                    <= t_left,
-                    name=f"edf_before[{task.job_id},{resource}]",
-                )
-                model.add(
-                    cumulative
-                    + x[predicted.job_id, resource] * cp_p
-                    - before * big_m
-                    - mapped_slack
-                    <= t_left,
-                    name=f"edf_after[{task.job_id},{resource}]",
-                )
+                cols, prev = [*cum_cols[:-1], before, x_j], cum_coeffs[:-1]
+                coeffs = [*prev, big_m, big_m]
+                row("starts_early", task, cols, coeffs, hi=two_m + sp_rel)
+                coeffs = [*prev, big_m, -big_m]
+                row("starts_late", task, cols, coeffs, lo=sp_rel - big_m)
+                cols, coeffs = [*cum_cols, before], [*gated, big_m]
+                row("edf_before", task, cols, coeffs, hi=two_m + t_left)
+                cols = [*cum_cols, x_p, before]
+                coeffs = [*gated, cp_p, -big_m]
+                row("edf_after", task, cols, coeffs, hi=big_m + t_left)
                 # The blocking prefix delays the predicted task:
-                # y = before AND x[j,i], so queue_ahead gains A_j exactly
-                # when the task really runs first.
+                # y = before AND x[j,i], so the work ahead gains A_j
+                # exactly when the task really runs first.
                 y = model.add_var(
                     f"ahead[{task.job_id},{resource}]", lb=0.0, ub=1.0
                 )
-                model.add(
-                    y - before - x[task.job_id, resource] >= -1.0,
-                    name=f"ahead_and[{task.job_id},{resource}]",
-                )
-                queue_ahead = queue_ahead + y * context.cpm(task, resource)
+                cols, coeffs = [y, before, x_j], [1.0, -1.0, -1.0]
+                row("ahead_and", task, cols, coeffs, lo=-1.0)
+                ahead_cols.append(y)
+                ahead_coeffs.append(cpm)
 
-        if predicted is not None and p_here:
+        if p_here:
             # (4)/(5) generalised: the predicted task starts at
             # max(s_p, work guaranteed ahead of it on this resource).
-            start = model.add_var(f"start_p[{resource}]", lb=0.0)
-            model.add(start - queue_ahead >= 0.0, name=f"sp_q[{resource}]")
-            model.add(start >= sp_rel, name=f"sp_arrival[{resource}]")
-            finish = start + x[predicted.job_id, resource] * cp_p
-            t_left_p = predicted.absolute_deadline - context.time - _SAFETY
-            model.add(
-                finish
-                - (1.0 - x[predicted.job_id, resource]) * big_m
-                <= t_left_p,
+            start_p = model.add_var(f"start_p[{resource}]", lb=0.0)
+            model.add_row(
+                [start_p, *ahead_cols],
+                [1.0, *(-coeff for coeff in ahead_coeffs)],
+                lo=0.0,
+                name=f"sp_q[{resource}]",
+            )
+            model.add_row(
+                [start_p], [1.0], lo=sp_rel, name=f"sp_arrival[{resource}]"
+            )
+            t_left_p = predicted.absolute_deadline - context.time
+            model.add_row(
+                [start_p, x_p],
+                [1.0, cp_p + big_m],
+                hi=big_m + t_left_p,
                 name=f"deadline_p[{resource}]",
             )

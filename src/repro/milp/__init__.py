@@ -1,17 +1,19 @@
 """A small mixed-integer linear programming layer.
 
 The paper's exact resource manager is a MILP (Sec. 4.2).  This package
-provides everything needed to express and solve it without external
-modelling libraries:
+holds it as a row store and solves it without external modelling
+libraries:
 
-* :class:`~repro.milp.model.Model` — variables, linear expressions,
-  constraints (with operator overloading) and big-M helpers;
+* :class:`~repro.milp.model.Model` — variables with bounds and
+  integrality, rows ``lo <= sum(coeff * x) <= hi``, a minimisation
+  objective, and :meth:`~repro.milp.model.Model.arrays`, the one array
+  form both backends read;
 * :mod:`~repro.milp.scipy_backend` — solves a model with scipy's bundled
   HiGHS solver;
 * :mod:`~repro.milp.bnb` — a pure-Python branch-and-bound solver over the
   LP relaxation, used to cross-validate the HiGHS results in tests.
 
-The package exports only the modelling layer.  :meth:`Model.solve
+The package exports only the row store.  :meth:`Model.solve
 <repro.milp.model.Model.solve>` imports the chosen backend on first use,
 so importing :mod:`repro.milp` (and every resource manager built on it)
 does not load scipy until a MILP is actually solved.  Import the backend
@@ -19,9 +21,9 @@ functions from their submodules.
 """
 
 from repro.milp.model import (
-    Constraint,
-    LinExpr,
+    Arrays,
     Model,
+    Row,
     Solution,
     SolveStatus,
     Variable,
@@ -30,8 +32,8 @@ from repro.milp.model import (
 __all__ = [
     "Model",
     "Variable",
-    "LinExpr",
-    "Constraint",
+    "Row",
+    "Arrays",
     "Solution",
     "SolveStatus",
 ]

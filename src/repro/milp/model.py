@@ -1,18 +1,18 @@
-"""MILP modelling layer: variables, linear expressions, constraints.
+"""MILP row store: variables, linear rows and a minimisation objective.
 
-The layer is deliberately small: enough to express the paper's
-formulation (binary mapping variables, continuous chunk start/end times,
-big-M indicator disjunctions) with readable operator syntax::
+A :class:`Model` holds a MILP in the form both backends read::
 
     m = Model("rm")
-    x = m.add_binary("x[1,2]")
+    x = m.add_binary("x[1,2]")          # column index
     t = m.add_var("start", lb=0.0)
-    m.add(t + 3.0 * x <= 10.0)
-    m.minimize(2.5 * x + t)
+    m.add_row((t, x), (1.0, 3.0), hi=10.0)   # t + 3 x <= 10
+    m.minimize({x: 2.5, t: 1.0})
     solution = m.solve()
 
-Solving dispatches to a backend (scipy/HiGHS by default, pure-Python
-branch-and-bound as an alternative).
+:meth:`Model.arrays` assembles the rows into the one array form
+(:class:`Arrays`).  Solving dispatches to a backend: scipy/HiGHS by
+default, pure-Python branch-and-bound as the cross-check.  Neither is
+imported until a model is solved, so this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -20,31 +20,24 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import chain
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
-    "Variable",
-    "LinExpr",
-    "Constraint",
+    "Arrays",
     "Model",
+    "Row",
     "Solution",
     "SolveStatus",
+    "Variable",
 ]
-
-
-def _to_expr(value: "Variable | LinExpr | float | int") -> "LinExpr":
-    if isinstance(value, LinExpr):
-        return value
-    if isinstance(value, Variable):
-        return LinExpr({value.index: 1.0}, 0.0)
-    if isinstance(value, (int, float)):
-        return LinExpr({}, float(value))
-    raise TypeError(f"cannot use {type(value).__name__} in a linear expression")
 
 
 @dataclass(frozen=True)
 class Variable:
-    """A decision variable (handle into its :class:`Model`)."""
+    """One column of a :class:`Model`."""
 
     index: int
     name: str
@@ -52,131 +45,33 @@ class Variable:
     ub: float
     integer: bool
 
-    # -- arithmetic -----------------------------------------------------
-    def __add__(self, other: object) -> "LinExpr":
-        return _to_expr(self) + other  # type: ignore[operator]
 
-    def __radd__(self, other: object) -> "LinExpr":
-        return _to_expr(self) + other  # type: ignore[operator]
+@dataclass(frozen=True)
+class Row:
+    """``lo <= sum(coeffs[k] * x[cols[k]]) <= hi`` (a side may be infinite)."""
 
-    def __sub__(self, other: object) -> "LinExpr":
-        return _to_expr(self) - other  # type: ignore[operator]
-
-    def __rsub__(self, other: object) -> "LinExpr":
-        return _to_expr(other) - _to_expr(self)  # type: ignore[arg-type]
-
-    def __mul__(self, coeff: float) -> "LinExpr":
-        return _to_expr(self) * coeff
-
-    def __rmul__(self, coeff: float) -> "LinExpr":
-        return _to_expr(self) * coeff
-
-    def __neg__(self) -> "LinExpr":
-        return _to_expr(self) * -1.0
-
-    # -- comparisons build constraints ----------------------------------
-    def __le__(self, other: object) -> "Constraint":
-        return _to_expr(self) <= other  # type: ignore[operator]
-
-    def __ge__(self, other: object) -> "Constraint":
-        return _to_expr(self) >= other  # type: ignore[operator]
-
-    def __eq__(self, other: object) -> "Constraint":  # type: ignore[override]
-        return _to_expr(self) == other  # type: ignore[operator]
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.name))
-
-
-class LinExpr:
-    """An affine expression ``sum(coeff_i * var_i) + constant``."""
-
-    __slots__ = ("terms", "constant")
-
-    def __init__(
-        self, terms: Mapping[int, float] | None = None, constant: float = 0.0
-    ) -> None:
-        self.terms: dict[int, float] = dict(terms or {})
-        self.constant = float(constant)
-
-    def copy(self) -> "LinExpr":
-        """An independent copy (terms dict not shared)."""
-        return LinExpr(self.terms, self.constant)
-
-    def __add__(self, other: object) -> "LinExpr":
-        other_expr = _to_expr(other)  # type: ignore[arg-type]
-        result = self.copy()
-        for var, coeff in other_expr.terms.items():
-            result.terms[var] = result.terms.get(var, 0.0) + coeff
-        result.constant += other_expr.constant
-        return result
-
-    def __radd__(self, other: object) -> "LinExpr":
-        return self + other
-
-    def __sub__(self, other: object) -> "LinExpr":
-        return self + (_to_expr(other) * -1.0)  # type: ignore[arg-type]
-
-    def __rsub__(self, other: object) -> "LinExpr":
-        return _to_expr(other) - self  # type: ignore[arg-type]
-
-    def __mul__(self, coeff: object) -> "LinExpr":
-        if not isinstance(coeff, (int, float)):
-            raise TypeError("expressions can only be scaled by numbers")
-        return LinExpr(
-            {var: c * float(coeff) for var, c in self.terms.items()},
-            self.constant * float(coeff),
-        )
-
-    def __rmul__(self, coeff: object) -> "LinExpr":
-        return self * coeff
-
-    def __neg__(self) -> "LinExpr":
-        return self * -1.0
-
-    def __le__(self, other: object) -> "Constraint":
-        diff = self - _to_expr(other)  # type: ignore[arg-type]
-        return Constraint(LinExpr(diff.terms), -math.inf, -diff.constant)
-
-    def __ge__(self, other: object) -> "Constraint":
-        diff = self - _to_expr(other)  # type: ignore[arg-type]
-        return Constraint(LinExpr(diff.terms), -diff.constant, math.inf)
-
-    def __eq__(self, other: object) -> "Constraint":  # type: ignore[override]
-        diff = self - _to_expr(other)  # type: ignore[arg-type]
-        return Constraint(LinExpr(diff.terms), -diff.constant, -diff.constant)
-
-    def __hash__(self) -> int:  # expressions are mutable; identity hash
-        return id(self)
-
-    def value(self, assignment: Mapping[int, float] | list[float]) -> float:
-        """Evaluate under a variable assignment (by index)."""
-        total = self.constant
-        for var, coeff in self.terms.items():
-            total += coeff * assignment[var]
-        return total
-
-    def __repr__(self) -> str:
-        parts = [f"{c:+g}*v{v}" for v, c in sorted(self.terms.items())]
-        parts.append(f"{self.constant:+g}")
-        return " ".join(parts)
-
-
-@dataclass
-class Constraint:
-    """``lo <= expr <= hi`` (one side may be infinite)."""
-
-    expr: LinExpr
+    cols: tuple[int, ...]
+    coeffs: tuple[float, ...]
     lo: float
     hi: float
     name: str = ""
 
-    def violated_by(
-        self, assignment: Mapping[int, float] | list[float], tol: float = 1e-6
-    ) -> bool:
-        """Whether the assignment breaks this constraint beyond ``tol``."""
-        value = self.expr.value(assignment)
-        return value < self.lo - tol or value > self.hi + tol
+
+class Arrays(NamedTuple):
+    """A model as arrays: ``min c @ x`` s.t. ``lo <= A @ x <= hi``,
+    ``lb <= x <= ub``, ``x[k]`` integral where ``integrality[k]``.
+
+    ``A`` is CSR: ``(data, indices, indptr)``, one row per model row in
+    order, of shape ``(len(lo), len(c))``.
+    """
+
+    c: np.ndarray
+    a: tuple[np.ndarray, np.ndarray, np.ndarray]
+    lo: np.ndarray
+    hi: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    integrality: np.ndarray
 
 
 class SolveStatus(enum.Enum):
@@ -201,26 +96,24 @@ class Solution:
         """Whether the solve proved optimality."""
         return self.status is SolveStatus.OPTIMAL
 
-    def value(self, variable: Variable) -> float:
-        """Value of one variable."""
-        return self.values[variable.index]
+    def value(self, col: int) -> float:
+        """Value of one variable, by column index."""
+        return self.values[col]
 
-    def binary(self, variable: Variable) -> bool:
+    def binary(self, col: int) -> bool:
         """Value of a binary variable rounded to bool."""
-        return self.values[variable.index] > 0.5
+        return self.values[col] > 0.5
 
 
 class Model:
-    """A MILP: variables, linear constraints and a linear objective."""
+    """A MILP: variables, linear rows and a linear objective to minimise."""
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
-        self.objective: LinExpr = LinExpr()
-        self.sense: str = "min"
+        self.rows: list[Row] = []
+        self.objective: dict[int, float] = {}
 
-    # -- building --------------------------------------------------------
     def add_var(
         self,
         name: str = "",
@@ -228,110 +121,80 @@ class Model:
         lb: float = 0.0,
         ub: float = math.inf,
         integer: bool = False,
-    ) -> Variable:
-        """Add a variable with bounds ``[lb, ub]``."""
+    ) -> int:
+        """Add a variable with bounds ``[lb, ub]``; returns its column."""
         if lb > ub:
             raise ValueError(f"variable {name!r}: lb {lb} > ub {ub}")
-        var = Variable(len(self.variables), name or f"v{len(self.variables)}",
-                       lb, ub, integer)
-        self.variables.append(var)
-        return var
+        col = len(self.variables)
+        self.variables.append(Variable(col, name or f"v{col}", lb, ub, integer))
+        return col
 
-    def add_binary(self, name: str = "") -> Variable:
-        """Add a 0/1 variable."""
+    def add_binary(self, name: str = "") -> int:
+        """Add a 0/1 variable; returns its column."""
         return self.add_var(name, lb=0.0, ub=1.0, integer=True)
 
-    def add(self, constraint: Constraint, name: str = "") -> Constraint:
-        """Register a constraint built via ``<=``, ``>=`` or ``==``."""
-        if not isinstance(constraint, Constraint):
-            raise TypeError(
-                "add() expects a Constraint (use <=, >= or == on expressions); "
-                f"got {type(constraint).__name__}"
-            )
-        if name:
-            constraint.name = name
-        self.constraints.append(constraint)
-        return constraint
-
-    def minimize(self, expr: "LinExpr | Variable | float") -> None:
-        """Set a minimisation objective."""
-        self.objective = _to_expr(expr)
-        self.sense = "min"
-
-    def maximize(self, expr: "LinExpr | Variable | float") -> None:
-        """Set a maximisation objective."""
-        self.objective = _to_expr(expr)
-        self.sense = "max"
-
-    # -- big-M helpers ----------------------------------------------------
-    def add_implication(
+    def add_row(
         self,
-        indicator: Variable,
-        constraint: Constraint,
-        big_m: float,
+        cols: Sequence[int],
+        coeffs: Sequence[float],
+        lo: float = -math.inf,
+        hi: float = math.inf,
         name: str = "",
-    ) -> None:
-        """Enforce ``constraint`` only when ``indicator == 1`` (big-M).
+    ) -> Row:
+        """Add the row ``lo <= sum(coeffs[k] * x[cols[k]]) <= hi``.
 
-        Both finite sides of the constraint are relaxed by
-        ``big_m * (1 - indicator)``.
+        A column may appear once per row: the scipy backend would sum a
+        repeated column's coefficients, while branch-and-bound's dense
+        fill would keep only the last, so the backends would read the
+        row differently.
         """
-        if not indicator.integer or indicator.lb != 0.0 or indicator.ub != 1.0:
-            raise ValueError("indicator must be a binary variable")
-        if big_m <= 0:
-            raise ValueError(f"big_m must be > 0, got {big_m}")
-        slack = (1.0 - _to_expr(indicator)) * big_m
-        if math.isfinite(constraint.hi):
-            relaxed = constraint.expr - slack
-            self.add(
-                Constraint(LinExpr(relaxed.terms),
-                           -math.inf,
-                           constraint.hi - relaxed.constant),
-                name=f"{name}:ub" if name else "",
+        row = Row(tuple(cols), tuple(coeffs), lo, hi, name)
+        if len(row.cols) != len(row.coeffs):
+            raise ValueError(
+                f"row {name!r}: {len(row.cols)} columns, "
+                f"{len(row.coeffs)} coefficients"
             )
-        if math.isfinite(constraint.lo):
-            relaxed = constraint.expr + slack
-            self.add(
-                Constraint(LinExpr(relaxed.terms),
-                           constraint.lo - relaxed.constant,
-                           math.inf),
-                name=f"{name}:lb" if name else "",
-            )
+        if len(set(row.cols)) != len(row.cols):
+            raise ValueError(f"row {name!r} repeats a column: {row.cols}")
+        if row.cols and not 0 <= min(row.cols) <= max(row.cols) < len(
+            self.variables
+        ):
+            raise ValueError(f"row {name!r} names an unknown column")
+        if lo > hi:
+            raise ValueError(f"row {name!r}: lo {lo} > hi {hi}")
+        self.rows.append(row)
+        return row
 
-    def add_disjunction(
-        self,
-        first: Constraint,
-        second: Constraint,
-        big_m: float,
-        name: str = "",
-    ) -> Variable:
-        """Enforce ``first OR second`` via a fresh selector binary.
+    def minimize(self, objective: Mapping[int, float]) -> None:
+        """Set the objective ``min sum(coeff * x[col])``."""
+        self.objective = dict(objective)
 
-        Returns the selector: 1 activates ``first``, 0 activates
-        ``second``.
-        """
-        selector = self.add_binary(f"{name or 'or'}:sel")
-        self.add_implication(selector, first, big_m, name=f"{name}:a")
-        complement = self.add_binary(f"{name or 'or'}:notsel")
-        self.add(
-            _to_expr(selector) + _to_expr(complement) == 1.0,
-            name=f"{name}:one",
+    def arrays(self) -> Arrays:
+        """The model in the one array form both backends solve."""
+        c = np.zeros(len(self.variables))
+        for col, coeff in self.objective.items():
+            c[col] = coeff
+        rows = self.rows
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row.cols) for row in rows], out=indptr[1:])
+        nnz = int(indptr[-1])
+        indices = np.fromiter(
+            chain.from_iterable(row.cols for row in rows), np.int64, nnz
         )
-        self.add_implication(complement, second, big_m, name=f"{name}:b")
-        return selector
-
-    # -- inspection / solving ----------------------------------------------
-    @property
-    def n_variables(self) -> int:
-        return len(self.variables)
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.constraints)
-
-    def check(self, values: list[float], tol: float = 1e-6) -> list[Constraint]:
-        """Constraints violated by ``values`` (empty list = feasible)."""
-        return [c for c in self.constraints if c.violated_by(values, tol)]
+        data = np.fromiter(
+            chain.from_iterable(row.coeffs for row in rows), np.float64, nnz
+        )
+        return Arrays(
+            c=c,
+            a=(data, indices, indptr),
+            lo=np.array([row.lo for row in rows], dtype=np.float64),
+            hi=np.array([row.hi for row in rows], dtype=np.float64),
+            lb=np.array([v.lb for v in self.variables], dtype=np.float64),
+            ub=np.array([v.ub for v in self.variables], dtype=np.float64),
+            integrality=np.array(
+                [v.integer for v in self.variables], dtype=np.uint8
+            ),
+        )
 
     def solve(self, backend: str = "scipy", **options) -> Solution:
         """Solve with the named backend (``"scipy"`` or ``"bnb"``)."""
@@ -347,6 +210,6 @@ class Model:
 
     def __repr__(self) -> str:
         return (
-            f"Model({self.name or 'unnamed'}: {self.n_variables} vars, "
-            f"{self.n_constraints} constraints)"
+            f"Model({self.name or 'unnamed'}: {len(self.variables)} vars, "
+            f"{len(self.rows)} rows)"
         )

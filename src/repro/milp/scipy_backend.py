@@ -1,8 +1,8 @@
 """Solve a :class:`~repro.milp.model.Model` with scipy's HiGHS MILP.
 
 scipy bundles the HiGHS solver behind :func:`scipy.optimize.milp`; this
-module translates our modelling layer into its matrix form and maps the
-result back.
+module hands it :meth:`Model.arrays <repro.milp.model.Model.arrays>`
+and maps the result back.
 """
 
 from __future__ import annotations
@@ -10,88 +10,51 @@ from __future__ import annotations
 import math
 import warnings
 
-import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
 from repro.milp.model import Model, Solution, SolveStatus
+from repro.model import EPS
 
 __all__ = ["solve_with_scipy"]
 
+_MIP_REL_GAP = 0.0
+"""Prove optimality: HiGHS's default relative gap (1e-4) may stop at a
+mapping that is not the cheapest."""
 
-def _build_matrices(model: Model):
-    n = model.n_variables
-    c = np.zeros(n)
-    for var, coeff in model.objective.terms.items():
-        c[var] = coeff
-    if model.sense == "max":
-        c = -c
-
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    lo = np.empty(len(model.constraints))
-    hi = np.empty(len(model.constraints))
-    for row, constraint in enumerate(model.constraints):
-        lo[row] = constraint.lo
-        hi[row] = constraint.hi
-        for var, coeff in constraint.expr.terms.items():
-            rows.append(row)
-            cols.append(var)
-            data.append(coeff)
-    matrix = csr_matrix((data, (rows, cols)), shape=(len(model.constraints), n))
-
-    lb = np.array([v.lb for v in model.variables])
-    ub = np.array([v.ub for v in model.variables])
-    integrality = np.array(
-        [1 if v.integer else 0 for v in model.variables], dtype=np.uint8
-    )
-    return c, matrix, lo, hi, lb, ub, integrality
+_MIP_FEASIBILITY_TOLERANCE = EPS
+"""HiGHS MIP feasibility/integrality tolerance.  Tightened from the 1e-6
+default because a binary allowed to sit at 1e-6 leaks ``1e-6 * big_M``
+of slack through big-M constraints — enough to "satisfy" a deadline
+constraint the schedule actually violates (observed as ~1e-3 deadline
+misses before tightening)."""
 
 
-def solve_with_scipy(
-    model: Model,
-    *,
-    time_limit: float | None = None,
-    mip_rel_gap: float = 0.0,
-    presolve: bool = False,
-    mip_feasibility_tolerance: float = 1e-9,
-) -> Solution:
+def solve_with_scipy(model: Model, *, presolve: bool = False) -> Solution:
     """Solve ``model`` to optimality with HiGHS.
 
     Parameters
     ----------
-    time_limit:
-        Optional wall-clock limit in seconds.
-    mip_rel_gap:
-        Relative MIP gap at which HiGHS may stop (0 = prove optimality).
     presolve:
         HiGHS presolve.  Disabled by default: on big-M models with
         near-integral right-hand sides (exactly what the RM formulation
         produces) the bundled HiGHS presolve can return sub-optimal
-        "optimal" solutions; see tests/milp/test_backends.py::
-        TestScipyBackend::test_presolve_regression.
-    mip_feasibility_tolerance:
-        HiGHS MIP feasibility/integrality tolerance.  Tightened from the
-        1e-6 default because a binary allowed to sit at 1e-6 leaks
-        ``1e-6 * big_M`` of slack through big-M constraints — enough to
-        "satisfy" a deadline constraint the schedule actually violates
-        (observed as ~1e-3 deadline misses before tightening).
+        "optimal" solutions; see tests/milp/test_regressions.py::
+        TestPresolveRegression.
     """
-    if model.n_variables == 0:
-        return Solution(SolveStatus.OPTIMAL, model.objective.constant, [])
-    c, matrix, lo, hi, lb, ub, integrality = _build_matrices(model)
-    options: dict = {
-        "mip_rel_gap": mip_rel_gap,
+    if not model.variables:
+        return Solution(SolveStatus.OPTIMAL, 0.0, [])
+    arrays = model.arrays()
+    constraints = []
+    if model.rows:
+        matrix = csr_matrix(arrays.a, shape=(len(arrays.lo), len(arrays.c)))
+        constraints.append(LinearConstraint(matrix, arrays.lo, arrays.hi))
+    options = {
+        "mip_rel_gap": _MIP_REL_GAP,
         "presolve": presolve,
         # Forwarded verbatim to HiGHS (scipy warns about unknown keys).
-        "mip_feasibility_tolerance": mip_feasibility_tolerance,
+        "mip_feasibility_tolerance": _MIP_FEASIBILITY_TOLERANCE,
     }
-    if time_limit is not None:
-        options["time_limit"] = time_limit
-    constraints = (
-        [LinearConstraint(matrix, lo, hi)] if model.n_constraints else []
-    )
     with warnings.catch_warnings():
         # scipy warns that non-standard options are "passed to HiGHS
         # verbatim" — which is exactly the intent.
@@ -99,16 +62,16 @@ def solve_with_scipy(
             "ignore", message="Unrecognized options", category=RuntimeWarning
         )
         result = milp(
-            c,
+            arrays.c,
             constraints=constraints,
-            bounds=Bounds(lb, ub),
-            integrality=integrality,
+            bounds=Bounds(arrays.lb, arrays.ub),
+            integrality=arrays.integrality,
             options=options,
         )
     if result.status == 0:
-        values = [float(v) for v in result.x]
-        objective = model.objective.value(values)
-        return Solution(SolveStatus.OPTIMAL, objective, values)
+        return Solution(
+            SolveStatus.OPTIMAL, float(result.fun), [float(v) for v in result.x]
+        )
     if result.status == 2:
         return Solution(SolveStatus.INFEASIBLE, math.inf, [])
     if result.status == 3:
@@ -116,5 +79,5 @@ def solve_with_scipy(
     # status 1 = iteration/time limit, 4 = other error
     if result.x is not None:
         values = [float(v) for v in result.x]
-        return Solution(SolveStatus.ERROR, model.objective.value(values), values)
+        return Solution(SolveStatus.ERROR, float(arrays.c @ result.x), values)
     return Solution(SolveStatus.ERROR, math.nan, [])

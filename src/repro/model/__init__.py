@@ -12,6 +12,9 @@ This package implements the system model of Sec. 2 of the paper:
   request stream (arrival time, task type, relative deadline), plus the
   :class:`~repro.model.request.PredictedRequest` a predictor hands to the
   resource manager.
+
+It also owns :data:`EPS`, the one absolute tolerance every time,
+deadline and capacity comparison of the engine uses.
 """
 
 from repro.model.platform import Platform, Resource
@@ -19,6 +22,7 @@ from repro.model.request import PredictedRequest, Request
 from repro.model.task import NOT_EXECUTABLE, TaskType
 
 __all__ = [
+    "EPS",
     "Resource",
     "Platform",
     "TaskType",
@@ -26,3 +30,10 @@ __all__ = [
     "Request",
     "PredictedRequest",
 ]
+
+EPS: float = 1e-9
+"""Absolute tolerance for time, deadline and capacity comparisons.
+
+The EDF timeline, the simulator, Algorithm 1, constraint (2)'s candidate
+filter and the MILP's feasibility tolerance all read this one value, so
+a quantity on the boundary is judged the same way by every layer."""

@@ -31,6 +31,8 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
+from repro.model import EPS
+
 __all__ = [
     "EPS",
     "ReadyJob",
@@ -40,9 +42,6 @@ __all__ = [
     "Timeline",
     "build_timeline",
 ]
-
-EPS: float = 1e-9
-"""Absolute tolerance for deadline/time comparisons."""
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.context import PlannedTask
+from repro.model import EPS
 from repro.model.platform import Platform
 from repro.model.request import Request
 from repro.model.task import TaskType
 from repro.obs.events import NULL_TRACER, Tracer
 
 __all__ = ["JobState", "PlatformState", "SimulationError", "ExecutionSpan"]
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -342,7 +341,7 @@ class PlatformState:
         admission control guarantees this never happens, so a miss is an
         internal inconsistency.
         """
-        if until < self.time - _EPS:
+        if until < self.time - EPS:
             raise SimulationError(
                 f"cannot advance backwards: {self.time} -> {until}"
             )
@@ -363,7 +362,7 @@ class PlatformState:
     ) -> None:
         """Append an execution span, merging with a contiguous same-kind
         predecessor of the same job on the same resource."""
-        if self.execution_log is None or end <= start + _EPS:
+        if self.execution_log is None or end <= start + EPS:
             return
         if self.execution_log:
             last = self.execution_log[-1]
@@ -371,7 +370,7 @@ class PlatformState:
                 last.job_id == job_id
                 and last.resource == resource
                 and last.kind == kind
-                and abs(last.end - start) <= _EPS
+                and abs(last.end - start) <= EPS
             ):
                 self.execution_log[-1] = ExecutionSpan(
                     job_id, resource, last.start, end, kind
@@ -386,7 +385,7 @@ class PlatformState:
         now = self.time
         queue = self.queue_of(resource)
         for job in queue:
-            if now >= until - _EPS:
+            if now >= until - EPS:
                 break
             available = until - now
             # Pay any migration debt first (no energy, no work progress).
@@ -403,7 +402,7 @@ class PlatformState:
                         job_id=job.job_id,
                         resource=resource,
                     )
-                if available <= _EPS:
+                if available <= EPS:
                     break
             wcet = job.task.wcet[resource]
             energy = job.task.energy[resource]
@@ -420,7 +419,7 @@ class PlatformState:
                 job.remaining_fraction -= run / wcet
                 self._log(job.job_id, resource, now, now + run, "work")
                 now += run
-            if job.remaining_fraction <= _EPS / max(wcet, 1.0):
+            if job.remaining_fraction <= EPS / max(wcet, 1.0):
                 job.remaining_fraction = 0.0
                 job.completed = True
                 job.running_non_preemptable = False

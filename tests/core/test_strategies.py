@@ -413,8 +413,7 @@ class TestDecisionValidity:
 
 class TestPhantomEnergyOption:
     def test_feasibility_only_reservation(self):
-        """With include_predicted_energy=False the MILP still honours the
-        reservation but stops steering the phantom to cheap resources."""
+        """The MILP honours the reservation of a GPU-only phantom."""
         new_task = planned(0, deadline=30.0)
         pred = PlannedTask(
             job_id=PREDICTED_JOB_ID,
@@ -427,18 +426,15 @@ class TestPhantomEnergyOption:
             arrival=2.0,
         )
         context = ctx([new_task, pred])
-        for include in (True, False):
-            decision = MilpResourceManager(
-                include_predicted_energy=include
-            ).solve(context)
-            assert decision.feasible
-            assert decision.mapping[0] in (0, 1)  # reservation either way
-            assert mapping_feasible(context, decision.mapping)
+        decision = MilpResourceManager().solve(context)
+        assert decision.feasible
+        assert decision.mapping[0] in (0, 1)  # the GPU stays reserved
+        assert mapping_feasible(context, decision.mapping)
 
     def test_objective_differs_when_phantom_competes(self):
-        """Two equal-energy placements for the real task; the phantom's
-        energy term is the only tie-breaker, so the chosen mappings can
-        differ — but both must be ground-truth feasible."""
+        """The phantom's energy is part of the paper's objective, so the
+        MILP steers the predicted task to its cheapest resource (the
+        GPU), and the mapping stays ground-truth feasible."""
         real = planned(0, deadline=40.0)
         pred = PlannedTask(
             job_id=PREDICTED_JOB_ID,
@@ -449,8 +445,6 @@ class TestPhantomEnergyOption:
         )
         context = ctx([real, pred])
         with_phantom = MilpResourceManager().solve(context)
-        without_phantom = MilpResourceManager(
-            include_predicted_energy=False
-        ).solve(context)
-        assert with_phantom.feasible and without_phantom.feasible
-        assert mapping_feasible(context, without_phantom.mapping)
+        assert with_phantom.feasible
+        assert with_phantom.mapping[PREDICTED_JOB_ID] == 2
+        assert mapping_feasible(context, with_phantom.mapping)

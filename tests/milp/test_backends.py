@@ -1,5 +1,8 @@
 """Tests for the scipy/HiGHS backend, the branch-and-bound solver, and
-their agreement on random MILPs (the cross-validation property)."""
+their agreement on random MILPs (the cross-validation property).
+
+Models only minimise, so a maximisation minimises the negated
+objective and the tests negate the optimum back."""
 
 
 import pytest
@@ -12,15 +15,11 @@ from repro.milp.scipy_backend import solve_with_scipy
 
 
 def knapsack_model(values, weights, capacity):
+    """Maximise the packed value: minimise its negation."""
     m = Model("knapsack")
     xs = [m.add_binary(f"x{i}") for i in range(len(values))]
-    load = None
-    gain = None
-    for x, v, w in zip(xs, values, weights, strict=True):
-        load = x * w if load is None else load + x * w
-        gain = x * v if gain is None else gain + x * v
-    m.add(load <= capacity)
-    m.maximize(gain)
+    m.add_row(xs, [float(w) for w in weights], hi=capacity)
+    m.minimize({x: -float(v) for x, v in zip(xs, values, strict=True)})
     return m, xs
 
 
@@ -29,31 +28,31 @@ class TestScipyBackend:
         m = Model()
         x = m.add_var("x", ub=4.0)
         y = m.add_var("y", ub=4.0)
-        m.add(x + y <= 5.0)
-        m.maximize(x + 2.0 * y)
+        m.add_row([x, y], [1.0, 1.0], hi=5.0)
+        m.minimize({x: -1.0, y: -2.0})
         sol = solve_with_scipy(m)
         assert sol.status is SolveStatus.OPTIMAL
-        assert sol.objective == pytest.approx(9.0)  # y=4, x=1
+        assert -sol.objective == pytest.approx(9.0)  # y=4, x=1
 
     def test_integrality_enforced(self):
         m = Model()
         x = m.add_var("x", ub=10.0, integer=True)
-        m.add(2.0 * x <= 7.0)
-        m.maximize(x + 0.0)
+        m.add_row([x], [2.0], hi=7.0)
+        m.minimize({x: -1.0})
         sol = solve_with_scipy(m)
         assert sol.value(x) == pytest.approx(3.0)
 
     def test_infeasible(self):
         m = Model()
         x = m.add_var("x", lb=0.0, ub=1.0)
-        m.add(x + 0.0 >= 2.0)
+        m.add_row([x], [1.0], lo=2.0)
         sol = solve_with_scipy(m)
         assert sol.status is SolveStatus.INFEASIBLE
 
     def test_unbounded(self):
         m = Model()
         x = m.add_var("x")  # ub = +inf
-        m.maximize(x + 0.0)
+        m.minimize({x: -1.0})
         sol = solve_with_scipy(m)
         assert sol.status is SolveStatus.UNBOUNDED
 
@@ -61,13 +60,13 @@ class TestScipyBackend:
         m, xs = knapsack_model([10, 13, 7], [5, 6, 4], 10)
         sol = solve_with_scipy(m)
         # best: items 1+2 (weight 10, value 20)
-        assert sol.objective == pytest.approx(20.0)
+        assert -sol.objective == pytest.approx(20.0)
         assert sol.binary(xs[1]) and sol.binary(xs[2])
 
     def test_no_constraints(self):
         m = Model()
         x = m.add_var("x", lb=1.0, ub=3.0)
-        m.minimize(x + 0.0)
+        m.minimize({x: 1.0})
         sol = solve_with_scipy(m)
         assert sol.objective == pytest.approx(1.0)
 
@@ -77,21 +76,21 @@ class TestBnbBackend:
         m, _ = knapsack_model([10, 13, 7], [5, 6, 4], 10)
         sol = solve_with_bnb(m)
         assert sol.status is SolveStatus.OPTIMAL
-        assert sol.objective == pytest.approx(20.0)
+        assert -sol.objective == pytest.approx(20.0)
 
     def test_integrality(self):
         m = Model()
         x = m.add_var("x", ub=10.0, integer=True)
-        m.add(2.0 * x <= 7.0)
-        m.maximize(x + 0.0)
+        m.add_row([x], [2.0], hi=7.0)
+        m.minimize({x: -1.0})
         sol = solve_with_bnb(m)
         assert sol.value(x) == pytest.approx(3.0)
 
     def test_infeasible(self):
         m = Model()
         b = m.add_binary("b")
-        m.add(b + 0.0 >= 0.5)
-        m.add(b + 0.0 <= 0.4)
+        m.add_row([b], [1.0], lo=0.5)
+        m.add_row([b], [1.0], hi=0.4)
         sol = solve_with_bnb(m)
         assert sol.status is SolveStatus.INFEASIBLE
 
@@ -99,8 +98,8 @@ class TestBnbBackend:
         m = Model()
         x = m.add_var("x", ub=10.0)
         y = m.add_var("y", ub=10.0, integer=True)
-        m.add(x + y == 7.5)
-        m.minimize(x + 0.0)
+        m.add_row([x, y], [1.0, 1.0], 7.5, 7.5)
+        m.minimize({x: 1.0})
         sol = solve_with_bnb(m)
         # y integer, maximal y = 7 -> x = 0.5
         assert sol.value(y) == pytest.approx(7.0)
@@ -117,10 +116,10 @@ class TestBnbBackend:
         m = Model()
         x = m.add_var("x", ub=5.0)
         b = m.add_binary("b")
-        m.add(x - 4.0 * b <= 0.0)
-        m.maximize(x - 0.5 * b)
+        m.add_row([x, b], [1.0, -4.0], hi=0.0)
+        m.minimize({x: -1.0, b: 0.5})
         sol = solve_with_bnb(m)
-        assert sol.objective == pytest.approx(3.5)  # b=1, x=4
+        assert -sol.objective == pytest.approx(3.5)  # b=1, x=4
 
 
 @st.composite
@@ -173,14 +172,12 @@ class TestBackendAgreement:
         m2 = Model()
         for m in (m1, m2):
             xs = [m.add_binary(f"x{i}") for i in range(len(rows))]
-            total = None
-            cost = None
-            for x, (w, c) in zip(xs, rows, strict=True):
-                total = x * w if total is None else total + x * w
-                cost = x * c if cost is None else cost + x * c
-            m.add(total <= cap)
-            m.add(total >= min(cap, min(w for w, _ in rows)))
-            m.minimize(cost)
+            weights = [float(w) for w, _ in rows]
+            m.add_row(xs, weights, hi=cap)
+            m.add_row(xs, weights, lo=min(cap, min(w for w, _ in rows)))
+            m.minimize(
+                {x: float(c) for x, (_, c) in zip(xs, rows, strict=True)}
+            )
         s1 = solve_with_scipy(m1)
         s2 = solve_with_bnb(m2)
         assert s1.status == s2.status

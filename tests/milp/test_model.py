@@ -1,154 +1,90 @@
-"""Tests for the MILP modelling layer."""
+"""Tests for the MILP row store."""
 
 import math
 
 import pytest
 
-from repro.milp.model import Constraint, Model, SolveStatus
-
-
-class TestLinExpr:
-    def test_variable_arithmetic(self):
-        m = Model()
-        x = m.add_var("x")
-        y = m.add_var("y")
-        expr = 2.0 * x + y - 3.0
-        assert expr.terms == {0: 2.0, 1: 1.0}
-        assert expr.constant == -3.0
-
-    def test_nested_expressions(self):
-        m = Model()
-        x = m.add_var("x")
-        expr = (x + 1.0) * 2.0 + (3.0 - x)
-        assert expr.terms[0] == pytest.approx(1.0)
-        assert expr.constant == pytest.approx(5.0)
-
-    def test_negation(self):
-        m = Model()
-        x = m.add_var("x")
-        expr = -(x + 2.0)
-        assert expr.terms[0] == -1.0
-        assert expr.constant == -2.0
-
-    def test_value_evaluation(self):
-        m = Model()
-        x = m.add_var("x")
-        y = m.add_var("y")
-        expr = 2.0 * x - y + 1.0
-        assert expr.value([3.0, 4.0]) == pytest.approx(3.0)
-
-    def test_scaling_by_non_number_rejected(self):
-        m = Model()
-        x = m.add_var("x")
-        with pytest.raises(TypeError):
-            (x + 0.0) * x  # quadratic not allowed
-
-    def test_unknown_operand_rejected(self):
-        m = Model()
-        x = m.add_var("x")
-        with pytest.raises(TypeError):
-            x + "text"
+from repro.milp.model import Model, Row, SolveStatus
 
 
 class TestConstraints:
     def test_le_builds_upper_bound(self):
         m = Model()
         x = m.add_var("x")
-        c = x + 1.0 <= 5.0
-        assert isinstance(c, Constraint)
-        assert c.hi == pytest.approx(4.0)
-        assert c.lo == -math.inf
+        row = m.add_row([x], [1.0], hi=4.0)
+        assert isinstance(row, Row)
+        assert row.hi == pytest.approx(4.0)
+        assert row.lo == -math.inf
 
     def test_ge_builds_lower_bound(self):
         m = Model()
         x = m.add_var("x")
-        c = 2.0 * x >= 4.0
-        assert c.lo == pytest.approx(4.0)
-        assert c.hi == math.inf
+        row = m.add_row([x], [2.0], lo=4.0)
+        assert row.lo == pytest.approx(4.0)
+        assert row.hi == math.inf
 
     def test_eq_builds_two_sided(self):
         m = Model()
         x = m.add_var("x")
-        c = x + 0.0 == 3.0
-        assert c.lo == c.hi == pytest.approx(3.0)
-
-    def test_violated_by(self):
-        m = Model()
-        x = m.add_var("x")
-        c = x + 0.0 <= 2.0
-        assert not c.violated_by([2.0])
-        assert c.violated_by([2.1])
+        row = m.add_row([x], [1.0], 3.0, 3.0)
+        assert row.lo == row.hi == pytest.approx(3.0)
 
     def test_add_rejects_non_constraint(self):
         m = Model()
-        with pytest.raises(TypeError, match="Constraint"):
-            m.add(True)  # accidental boolean from comparison misuse
+        x = m.add_var("x")
+        y = m.add_var("y")
+        # A repeated column: scipy would sum the two coefficients, the
+        # branch-and-bound dense fill would keep only the last one.
+        with pytest.raises(ValueError, match="repeats a column"):
+            m.add_row([x, y, x], [1.0, 1.0, 2.0], hi=1.0)
+        with pytest.raises(ValueError, match="coefficients"):
+            m.add_row([x, y], [1.0], hi=1.0)
+        with pytest.raises(ValueError, match="unknown column"):
+            m.add_row([x, 2], [1.0, 1.0], hi=1.0)
+        with pytest.raises(ValueError, match="lo"):
+            m.add_row([x], [1.0], lo=2.0, hi=1.0)
+        assert m.rows == []
 
 
 class TestModelBuilding:
     def test_variable_bounds(self):
         m = Model()
         x = m.add_var("x", lb=-1.0, ub=2.0)
-        assert (x.lb, x.ub) == (-1.0, 2.0)
+        assert (m.variables[x].lb, m.variables[x].ub) == (-1.0, 2.0)
         with pytest.raises(ValueError):
             m.add_var("bad", lb=3.0, ub=1.0)
 
     def test_binary(self):
         m = Model()
         b = m.add_binary("b")
-        assert b.integer and b.lb == 0.0 and b.ub == 1.0
-
-    def test_check_lists_violations(self):
-        m = Model()
-        x = m.add_var("x")
-        m.add(x + 0.0 <= 1.0, name="cap")
-        violated = m.check([2.0])
-        assert len(violated) == 1
-        assert violated[0].name == "cap"
+        var = m.variables[b]
+        assert var.integer and var.lb == 0.0 and var.ub == 1.0
 
     def test_counts(self):
         m = Model("demo")
         m.add_var()
         m.add_binary()
-        assert m.n_variables == 2
+        assert len(m.variables) == 2
         assert "2 vars" in repr(m)
 
-
-class TestBigMHelpers:
-    def test_implication_active(self):
+    def test_arrays_are_rows_in_order(self):
         m = Model()
+        x = m.add_var("x", ub=4.0)
         b = m.add_binary("b")
-        x = m.add_var("x", ub=10.0)
-        m.add_implication(b, x + 0.0 <= 2.0, big_m=100.0)
-        m.minimize(-1.0 * x)
-        m.add(b + 0.0 == 1.0)
-        sol = m.solve()
-        assert sol.value(x) == pytest.approx(2.0)
-
-    def test_implication_inactive(self):
-        m = Model()
-        b = m.add_binary("b")
-        x = m.add_var("x", ub=10.0)
-        m.add_implication(b, x + 0.0 <= 2.0, big_m=100.0)
-        m.minimize(-1.0 * x)
-        m.add(b + 0.0 == 0.0)
-        sol = m.solve()
-        assert sol.value(x) == pytest.approx(10.0)
-
-    def test_implication_requires_binary(self):
-        m = Model()
-        x = m.add_var("x")
-        with pytest.raises(ValueError, match="binary"):
-            m.add_implication(x, x + 0.0 <= 1.0, big_m=10.0)
-
-    def test_disjunction(self):
-        m = Model()
-        x = m.add_var("x", ub=10.0)
-        # x <= 2 OR x >= 8; maximizing x should pick the second branch
-        m.add_disjunction(x + 0.0 <= 2.0, x + 0.0 >= 8.0, big_m=100.0)
-        m.maximize(x + 0.0)
-        sol = m.solve()
-        assert sol.value(x) == pytest.approx(10.0)
+        m.add_row([b, x], [3.0, 1.0], hi=10.0)
+        m.add_row([x], [2.0], 1.0, 1.0)
+        m.minimize({x: 2.5})
+        arrays = m.arrays()
+        data, indices, indptr = arrays.a
+        assert arrays.c.tolist() == [2.5, 0.0]
+        assert data.tolist() == [3.0, 1.0, 2.0]
+        assert indices.tolist() == [b, x, x]
+        assert indptr.tolist() == [0, 2, 3]
+        assert arrays.lo.tolist() == [-math.inf, 1.0]
+        assert arrays.hi.tolist() == [10.0, 1.0]
+        assert arrays.lb.tolist() == [0.0, 0.0]
+        assert arrays.ub.tolist() == [4.0, 1.0]
+        assert arrays.integrality.tolist() == [0, 1]
 
 
 class TestSolve:
@@ -164,6 +100,6 @@ class TestSolve:
     def test_binary_helper_on_solution(self):
         m = Model()
         b = m.add_binary("b")
-        m.maximize(b + 0.0)
+        m.minimize({b: -1.0})
         sol = m.solve()
         assert sol.binary(b) is True

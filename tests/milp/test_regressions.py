@@ -21,22 +21,20 @@ class TestPresolveRegression:
         x = [m.add_binary(f"x{i}") for i in range(8)]
         start = [m.add_var(f"s{i}", lb=0.0) for i in range(2)]
         rhs = 13.9999999
-        m.add(x[0] + x[1] + x[2] == 1.0)
-        m.add(x[3] + x[4] + x[5] == 1.0)
-        m.add(x[6] + x[7] == 1.0)
-        m.add(13.0 * x[0] <= rhs)
-        m.add(x[0] + 13.0 * x[3] <= rhs)
-        m.add(start[0] - x[0] - x[3] >= 0.0)
-        m.add(start[0] + 13.0 * x[6] <= rhs)
-        m.add(13.0 * x[1] <= rhs)
-        m.add(x[1] + 13.0 * x[4] <= rhs)
-        m.add(start[1] - x[1] - x[4] >= 0.0)
-        m.add(start[1] + 13.0 * x[7] <= rhs)
-        m.add(13.0 * x[2] <= rhs)
-        m.add(x[2] + 13.0 * x[5] <= rhs)
-        m.minimize(
-            x[0] + x[1] + x[2] + x[3] + x[4] + x[5] + x[6] + 2.0 * x[7]
-        )
+        m.add_row([x[0], x[1], x[2]], [1.0, 1.0, 1.0], 1.0, 1.0)
+        m.add_row([x[3], x[4], x[5]], [1.0, 1.0, 1.0], 1.0, 1.0)
+        m.add_row([x[6], x[7]], [1.0, 1.0], 1.0, 1.0)
+        m.add_row([x[0]], [13.0], hi=rhs)
+        m.add_row([x[0], x[3]], [1.0, 13.0], hi=rhs)
+        m.add_row([start[0], x[0], x[3]], [1.0, -1.0, -1.0], lo=0.0)
+        m.add_row([start[0], x[6]], [1.0, 13.0], hi=rhs)
+        m.add_row([x[1]], [13.0], hi=rhs)
+        m.add_row([x[1], x[4]], [1.0, 13.0], hi=rhs)
+        m.add_row([start[1], x[1], x[4]], [1.0, -1.0, -1.0], lo=0.0)
+        m.add_row([start[1], x[7]], [1.0, 13.0], hi=rhs)
+        m.add_row([x[2]], [13.0], hi=rhs)
+        m.add_row([x[2], x[5]], [1.0, 13.0], hi=rhs)
+        m.minimize({col: 1.0 for col in x[:7]} | {x[7]: 2.0})
         return m
 
     def test_presolve_regression(self):
