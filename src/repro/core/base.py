@@ -98,23 +98,18 @@ def _jobs_on_resource(
             future.append(
                 FutureJob(
                     job_id=task.job_id,
-                    arrival=max(task.arrival or context.time, context.time),
+                    arrival=context.ready_at(task),
                     exec_time=exec_time,
                     deadline=task.absolute_deadline,
                 )
             )
         else:
-            must_run_first = (
-                task.running_non_preemptable
-                and task.current_resource == resource
-                and not context.platform.is_preemptable(resource)
-            )
             ready.append(
                 ReadyJob(
                     job_id=task.job_id,
                     exec_time=exec_time,
                     deadline=task.absolute_deadline,
-                    must_run_first=must_run_first,
+                    must_run_first=context.runs_first(task, resource),
                 )
             )
     return ready, future
@@ -136,17 +131,14 @@ def resource_timeline(
 def mapping_feasible(context: RMContext, mapping: dict[int, int]) -> bool:
     """Ground truth: does ``mapping`` meet every deadline?
 
-    Requires every task of the context to be mapped to a resource it is
-    executable on (and not currently down), and every per-resource EDF
-    timeline (with the predicted task's arrival and preemption rules) to
-    be feasible.
+    Requires every task of the context to be mapped to a resource where
+    its ``cpm`` is finite (executable and not currently down), and every
+    per-resource EDF timeline (with the predicted task's arrival and
+    preemption rules) to be feasible.
     """
     for task in context.tasks:
-        if task.job_id not in mapping:
-            return False
-        if not task.task.executable_on(mapping[task.job_id]):
-            return False
-        if mapping[task.job_id] in context.down_resources:
+        resource = mapping.get(task.job_id)
+        if resource is None or context.cpm(task, resource) == math.inf:
             return False
     for resource in range(context.platform.size):
         if not resource_timeline(context, mapping, resource).feasible:

@@ -10,20 +10,23 @@ task the RM knows
 * the total execution time including migration, ``cpm[j,i]``,
 * the remaining time to its deadline ``t_left_j = s_j + d_j - t``.
 
-:class:`PlannedTask` captures one task's state and derives those
-quantities; :class:`RMContext` bundles the full activation.
+:class:`PlannedTask` captures one task's state; :func:`cost_rows` derives
+its ``cpm`` and energy rows, and :class:`RMContext` bundles the full
+activation and is where every strategy reads those quantities, the
+predicted task's ready time and the run-first rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Collection
+from dataclasses import dataclass, field
 
 from repro.model import EPS
 from repro.model.platform import Platform
 from repro.model.task import TaskType
 
-__all__ = ["PlannedTask", "RMContext", "PREDICTED_JOB_ID"]
+__all__ = ["PlannedTask", "RMContext", "PREDICTED_JOB_ID", "cost_rows"]
 
 PREDICTED_JOB_ID: int = 10**9
 """Reserved job id for the predicted task.
@@ -102,73 +105,59 @@ class PlannedTask:
                 f"job {self.job_id}: a predicted task needs an arrival time"
             )
 
-    # ------------------------------------------------------------------
-    # Remaining work / energy (Sec. 4.1 formulas)
-    # ------------------------------------------------------------------
 
-    def remaining_time_on(self, resource: int) -> float:
-        """``cp[j,i]``: remaining WCET if the task runs on ``resource``.
+Rows = tuple[list[float], list[float], list[int]]
+"""One task's ``(cpm row, ep + em row, executable resources)``."""
 
-        Continuing on the current resource keeps the proportional
-        remainder; moving a task that is executing on a non-preemptable
-        resource aborts it, so the work restarts from scratch.
-        """
-        wcet = self.task.wcet[resource]
-        if not math.isfinite(wcet):
-            return math.inf
-        if self.running_non_preemptable and resource != self.current_resource:
-            return wcet  # abort & restart from the beginning
-        return wcet * self.remaining_fraction
 
-    def remaining_energy_on(self, resource: int) -> float:
-        """``ep[j,i]``: remaining average energy on ``resource``."""
-        energy = self.task.energy[resource]
-        if not math.isfinite(energy):
-            return math.inf
-        if self.running_non_preemptable and resource != self.current_resource:
-            return energy
-        return energy * self.remaining_fraction
+def cost_rows(
+    task: PlannedTask, *, charge_unstarted: bool, down: Collection[int]
+) -> Rows:
+    """``cpm[j,i]`` and ``ep[j,i] + em[j,k,i]`` of ``task`` on every resource.
 
-    def migration_applies(
-        self, resource: int, *, charge_unstarted: bool = False
-    ) -> bool:
-        """Whether mapping to ``resource`` incurs migration overhead.
+    The one implementation of the Sec. 4.1 costs:
 
-        No overhead applies when the task stays put, has never been mapped,
-        restarts after a non-preemptable abort (nothing to transfer), or —
-        under the default policy — has been mapped but never started.
-        """
-        if self.current_resource is None or resource == self.current_resource:
-            return False
-        if self.running_non_preemptable:
-            return False
-        return self.started or charge_unstarted
+    * ``cp[j,i] = c[j,i] * remaining_fraction``: the remainder scales
+      proportionally when the task moves;
+    * leaving the resource a task is executing on non-preemptively
+      aborts it, so the work restarts from scratch and there is nothing
+      to transfer (no migration overhead);
+    * otherwise moving pays ``cm``/``em`` when the task has started, or
+      (``charge_unstarted``) has been mapped at all; a never-mapped task
+      moves for free;
+    * staying on the current resource pays the pending migration debt.
 
-    def exec_time_on(
-        self, resource: int, *, charge_unstarted: bool = False
-    ) -> float:
-        """``cpm[j,i]``: remaining WCET plus migration delay on ``resource``."""
-        base = self.remaining_time_on(resource)
-        if not math.isfinite(base):
-            return math.inf
-        if self.migration_applies(resource, charge_unstarted=charge_unstarted):
-            return base + self.task.cm(self.current_resource, resource)
-        if resource == self.current_resource:
-            return base + self.pending_migration_time
-        return base
-
-    def energy_on(self, resource: int, *, charge_unstarted: bool = False) -> float:
-        """``ep[j,i] + em[j,k,i]``: the task's objective contribution."""
-        base = self.remaining_energy_on(resource)
-        if not math.isfinite(base):
-            return math.inf
-        if self.migration_applies(resource, charge_unstarted=charge_unstarted):
-            return base + self.task.em(self.current_resource, resource)
-        return base
-
-    def with_fraction(self, fraction: float) -> "PlannedTask":
-        """Copy with a different remaining fraction (simulator helper)."""
-        return replace(self, remaining_fraction=fraction)
+    ``x * fraction`` and ``x + m`` keep ``inf`` at ``inf``, so a
+    non-executable resource (wcet and energy are finite on exactly the
+    same resources, a TaskType invariant) needs no branch of its own.
+    Resources in ``down`` read ``inf`` in both rows.  The executable
+    resources are those with a finite cpm, ascending.
+    """
+    task_type = task.task
+    wcets = task_type.wcet
+    energies = task_type.energy
+    fraction = task.remaining_fraction
+    current = task.current_resource
+    if task.running_non_preemptable:
+        # Leaving the resource aborts the run: restart from scratch.
+        row_c = list(wcets)
+        row_e = list(energies)
+    elif current is not None and (task.started or charge_unstarted):
+        cm_row = task_type.migration_time[current]
+        em_row = task_type.migration_energy[current]
+        row_c = [c * fraction + m for c, m in zip(wcets, cm_row, strict=True)]
+        row_e = [
+            e * fraction + m for e, m in zip(energies, em_row, strict=True)
+        ]
+    else:
+        row_c = [c * fraction for c in wcets]
+        row_e = [e * fraction for e in energies]
+    if current is not None:
+        row_c[current] = wcets[current] * fraction + task.pending_migration_time
+        row_e[current] = energies[current] * fraction
+    for i in down:
+        row_c[i] = row_e[i] = math.inf
+    return row_c, row_e, [i for i, c in enumerate(row_c) if c != math.inf]
 
 
 @dataclass(frozen=True)
@@ -192,8 +181,8 @@ class RMContext:
         never-started task pays migration overhead.
     down_resources:
         Resources currently unavailable (fault injection, DESIGN.md
-        §10): no task may be mapped there, and
-        :meth:`candidate_resources` excludes them.
+        §10): no task may be mapped there.  Their ``cpm`` and energy
+        read ``inf``, so :meth:`candidate_resources` excludes them.
     """
 
     time: float
@@ -201,6 +190,11 @@ class RMContext:
     tasks: tuple[PlannedTask, ...]
     charge_unstarted_migration: bool = False
     down_resources: frozenset[int] = frozenset()
+    # rows() memo by job id; an entry serves only the task it was built
+    # for.
+    _rows: dict[int, tuple[PlannedTask, Rows]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         ids = [t.job_id for t in self.tasks]
@@ -227,7 +221,7 @@ class RMContext:
 
     @property
     def predicted_tasks(self) -> tuple[PlannedTask, ...]:
-        """All predicted tasks, in arrival order.
+        """All predicted tasks, earliest arrival first.
 
         The paper plans with a single predicted request; this library
         also supports a *lookahead horizon* of several predicted requests
@@ -238,7 +232,7 @@ class RMContext:
         return tuple(
             sorted(
                 (t for t in self.tasks if t.is_predicted),
-                key=lambda t: (t.arrival or 0.0, t.job_id),
+                key=lambda t: (t.arrival, t.job_id),
             )
         )
 
@@ -265,36 +259,57 @@ class RMContext:
             return 0.0
         return max(self.t_left(t) for t in self.tasks)
 
-    def cpm(self, task: PlannedTask, resource: int) -> float:
-        """``cpm[j,i]`` under this context's migration policy."""
-        return task.exec_time_on(
-            resource, charge_unstarted=self.charge_unstarted_migration
+    def ready_at(self, task: PlannedTask) -> float:
+        """When ``task`` can start: a predicted task at its arrival (or
+        now, if that has passed), every other task now."""
+        if task.is_predicted and task.arrival is not None:
+            return max(self.time, task.arrival)
+        return self.time
+
+    def runs_first(self, task: PlannedTask, resource: int) -> bool:
+        """Whether ``task`` must run first on ``resource``: it is executing
+        there and the resource is non-preemptable, so it runs to
+        completion ahead of every deadline."""
+        return (
+            task.running_non_preemptable
+            and task.current_resource == resource
+            and not self.platform.is_preemptable(resource)
         )
 
+    def rows(self, task: PlannedTask) -> Rows:
+        """:func:`cost_rows` of ``task`` under this context's migration
+        policy and down resources, built once per context.  The rows are
+        shared: callers must not modify them."""
+        entry = self._rows.get(task.job_id)
+        if entry is None or entry[0] is not task:
+            entry = task, cost_rows(
+                task,
+                charge_unstarted=self.charge_unstarted_migration,
+                down=self.down_resources,
+            )
+            self._rows[task.job_id] = entry
+        return entry[1]
+
+    def cpm(self, task: PlannedTask, resource: int) -> float:
+        """``cpm[j,i]``; ``inf`` where not executable or down."""
+        return self.rows(task)[0][resource]
+
     def energy(self, task: PlannedTask, resource: int) -> float:
-        """``ep + em`` under this context's migration policy."""
-        return task.energy_on(
-            resource, charge_unstarted=self.charge_unstarted_migration
-        )
+        """``ep + em``; ``inf`` where not executable or down."""
+        return self.rows(task)[1][resource]
 
     def candidate_resources(self, task: PlannedTask) -> tuple[int, ...]:
         """Resources where the task is executable and fits its deadline.
 
-        This is the paper's constraint (2): ``cpm[j,i] <= t_left_j``.
-        For the predicted task the deadline is measured from its arrival,
-        since it cannot start before arriving.  Down resources are never
-        candidates.
+        This is the paper's constraint (2): ``cpm[j,i] <= t_left_j``,
+        with ``t_left`` measured from :meth:`ready_at`, since the
+        predicted task cannot start before arriving.  Down resources
+        are not executable.
         """
-        start = self.time
-        if task.is_predicted and task.arrival is not None:
-            start = max(self.time, task.arrival)
-        budget = task.absolute_deadline - start
-        down = self.down_resources
-        return tuple(
-            i
-            for i in range(self.platform.size)
-            if i not in down and self.cpm(task, i) <= budget + EPS
-        )
+        row_c, _, executable = self.rows(task)
+        budget = task.absolute_deadline - self.ready_at(task)
+        # Fits its deadline: cpm <= t_left within EPS.
+        return tuple(i for i in executable if row_c[i] <= budget + EPS)
 
     def without_prediction(self) -> "RMContext":
         """A copy of the context with the predicted task removed."""

@@ -31,14 +31,14 @@ straightforward form kept in ``tests/core/reference_heuristic.py``,
 checked by differential tests there and by the golden-trace suite in
 ``tests/golden``):
 
-* the ``cpm``/energy rows are :meth:`PlannedTask.exec_time_on` /
-  :meth:`~PlannedTask.energy_on` column by column (same operations on
-  the same operands, so the floats are identical to the letter);
+* the ``cpm``/energy rows are :func:`repro.core.context.cost_rows`,
+  the one implementation of Sec. 4.1's costs that
+  :meth:`RMContext.cpm` / :meth:`~RMContext.energy` also read;
 * **row table.**  For an unstarted task (``remaining_fraction == 1.0``,
   nothing pending) on a platform with no resource down, those rows, the
   unpenalised ``f = energy + 0.0`` and its preference order depend only
   on the task type and ``(current resource, running non-preemptable,
-  migratable)``.  They are memoised as tuples in
+  started or charge_unstarted)``.  They are memoised as tuples in
   :attr:`TaskType.row_cache`, at most ``(N + 1) * 4`` entries per type.
   The deadline penalty is applied per activation: when no finite cpm
   exceeds ``t_left + eps`` it adds ``0.0`` everywhere, which is the
@@ -83,9 +83,8 @@ from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
 
 from repro.core.base import MappingDecision, MappingStrategy
-from repro.core.context import PlannedTask, RMContext
+from repro.core.context import PlannedTask, RMContext, cost_rows
 from repro.model import EPS
-from repro.model.task import TaskType
 from repro.sched.timeline import Timeline
 
 __all__ = ["HeuristicResourceManager"]
@@ -159,43 +158,32 @@ class HeuristicResourceManager(MappingStrategy):
         # Per job: (cpm row, energy row, f row, preference order).
         rows_of: dict[int, tuple[_Row, _Row, _Row, Sequence[int]]] = {}
         for task in tasks:
-            task_type = task.task
-            current = task.current_resource
-            run_np = task.running_non_preemptable
-            migratable = (
-                current is not None
-                and not run_np
-                and (task.started or charge_unstarted)
-            )
-            # t_left; for a predicted task, measured from its arrival.
-            if task.is_predicted and task.arrival is not None:
-                budget = task.absolute_deadline - max(time, task.arrival)
-            else:
-                budget = task.absolute_deadline - time
-            threshold = budget + EPS
+            # Meets its deadline: cpm <= t_left + EPS, with t_left
+            # measured from when the task can start (line 6's penalty
+            # test).
+            threshold = task.absolute_deadline - context.ready_at(task) + EPS
             if (
                 task.remaining_fraction == 1.0
                 and task.pending_migration_time == 0.0
                 and not down
             ):
                 # An unstarted task's rows depend on its type and these
-                # three flags only: memoised on the type, unpenalised.
-                key = (current, run_np, migratable)
-                cached = task_type.row_cache.get(key)
+                # three inputs only: memoised on the type, unpenalised.
+                row_cache = task.task.row_cache
+                key = (
+                    task.current_resource,
+                    task.running_non_preemptable,
+                    task.started or charge_unstarted,
+                )
+                cached = row_cache.get(key)
                 if cached is None:
-                    cached = _unstarted_rows(task_type, *key)
-                    task_type.row_cache[key] = cached
+                    cached = _unstarted_rows(task, charge_unstarted)
+                    row_cache[key] = cached
                 row_c, row_e, executable, max_c, row_f, order = cached
                 penalised = max_c > threshold
             else:
-                row_c, row_e, executable = _exec_rows(
-                    task_type,
-                    task.remaining_fraction,
-                    current,
-                    run_np,
-                    task.pending_migration_time,
-                    migratable,
-                    down,
+                row_c, row_e, executable = cost_rows(
+                    task, charge_unstarted=charge_unstarted, down=down
                 )
                 penalised = True
             if penalised:
@@ -221,18 +209,14 @@ class HeuristicResourceManager(MappingStrategy):
                     task.job_id,
                     exec_time,
                     task.absolute_deadline,
-                    arrival=max(task.arrival or time, time),
+                    arrival=context.ready_at(task),
                 )
             else:
                 timelines[resource].insert(
                     task.job_id,
                     exec_time,
                     task.absolute_deadline,
-                    must_run_first=(
-                        task.running_non_preemptable
-                        and task.current_resource == resource
-                        and not platform.is_preemptable(resource)
-                    ),
+                    must_run_first=context.runs_first(task, resource),
                 )
 
         mapping: dict[int, int] = {}
@@ -373,71 +357,23 @@ class HeuristicResourceManager(MappingStrategy):
                 task.job_id,
                 exec_time,
                 task.absolute_deadline,
-                arrival=max(task.arrival or context.time, context.time),
+                arrival=context.ready_at(task),
             )
         return timeline.probe(
             task.job_id,
             exec_time,
             task.absolute_deadline,
-            must_run_first=(
-                task.running_non_preemptable
-                and task.current_resource == resource
-                and not context.platform.is_preemptable(resource)
-            ),
+            must_run_first=context.runs_first(task, resource),
         )
 
 
-def _exec_rows(
-    task_type: TaskType,
-    fraction: float,
-    current: int | None,
-    run_np: bool,
-    pending: float,
-    migratable: bool,
-    down: frozenset[int],
-) -> tuple[list[float], list[float], list[int]]:
-    """One task's ``(cpm, energy, executable resources)`` rows.
-
-    The rows are :meth:`PlannedTask.exec_time_on` /
-    :meth:`~PlannedTask.energy_on` column by column, with the same
-    operations on the same operands: ``x * fraction`` and ``x + m`` keep
-    ``inf`` at ``inf``, so a non-executable resource (wcet and energy are
-    finite on exactly the same resources, a TaskType invariant) needs no
-    branch of its own.
-    """
-    wcets = task_type.wcet
-    energies = task_type.energy
-    if run_np:
-        # Leaving the resource aborts the run: restart from scratch.
-        row_c = list(wcets)
-        row_e = list(energies)
-    elif migratable:
-        cm_row = task_type.migration_time[current]  # type: ignore[index]
-        em_row = task_type.migration_energy[current]  # type: ignore[index]
-        row_c = [c * fraction + m for c, m in zip(wcets, cm_row, strict=True)]
-        row_e = [
-            e * fraction + m for e, m in zip(energies, em_row, strict=True)
-        ]
-    else:
-        row_c = [c * fraction for c in wcets]
-        row_e = [e * fraction for e in energies]
-    if current is not None:
-        row_c[current] = wcets[current] * fraction + pending
-        row_e[current] = energies[current] * fraction
-    for i in down:
-        row_c[i] = row_e[i] = _INF
-    return row_c, row_e, [i for i, c in enumerate(row_c) if c != _INF]
-
-
-def _unstarted_rows(
-    task_type: TaskType, current: int | None, run_np: bool, migratable: bool
-) -> _CachedRows:
+def _unstarted_rows(task: PlannedTask, charge_unstarted: bool) -> _CachedRows:
     """The :attr:`TaskType.row_cache` entry of an unstarted task (full
     work, nothing pending, no resource down): its rows, the largest
     finite cpm, and the unpenalised ``f = energy + 0.0`` with its
     preference order."""
-    row_c, row_e, executable = _exec_rows(
-        task_type, 1.0, current, run_np, 0.0, migratable, frozenset()
+    row_c, row_e, executable = cost_rows(
+        task, charge_unstarted=charge_unstarted, down=()
     )
     row_f = [e + 0.0 for e in row_e]
     return (

@@ -127,11 +127,11 @@ class MilpResourceManager(MappingStrategy):
         big_m = self._big_m(context, tasks, candidates)
         sp_rel = 0.0
         if predicted is not None:
-            # An arrival within EPS of now has already arrived, as in
-            # build_timeline (``arrival <= start + EPS``).  Snapping it
-            # also keeps HiGHS off a right-hand side equal to its MIP
+            # Arrived: an arrival within EPS of now has already arrived,
+            # as in build_timeline (``arrival <= start + EPS``).  Snapping
+            # it also keeps HiGHS off a right-hand side equal to its MIP
             # feasibility tolerance, where it stops with a solve error.
-            offset = (predicted.arrival or context.time) - context.time
+            offset = context.ready_at(predicted) - context.time
             if offset > EPS:
                 sp_rel = offset
 
@@ -217,8 +217,8 @@ class MilpResourceManager(MappingStrategy):
         )
         horizon = context.window + total_work + 1.0
         predicted = context.predicted
-        if predicted is not None and predicted.arrival is not None:
-            horizon += max(0.0, predicted.arrival - context.time)
+        if predicted is not None:
+            horizon += context.ready_at(predicted) - context.time
         return 2.0 * horizon
 
     @staticmethod
@@ -244,14 +244,8 @@ class MilpResourceManager(MappingStrategy):
         preemptable = context.platform.is_preemptable(resource)
         real = [t for t in tasks if not t.is_predicted]
 
-        # On a non-preemptable resource, the task currently executing
-        # there runs first regardless of its deadline.
-        forced = None
-        if not preemptable:
-            for t in real:
-                if t.running_non_preemptable and t.current_resource == resource:
-                    forced = t
-                    break
+        # The task that must run first here precedes every deadline.
+        forced = next((t for t in real if context.runs_first(t, resource)), None)
 
         ordered = sorted(real, key=lambda t: (t.absolute_deadline, t.job_id))
         if forced is not None:

@@ -9,6 +9,7 @@ hand the resource manager a :class:`PredictedRequest` describing the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["Request", "PredictedRequest"]
@@ -41,6 +42,10 @@ class Request:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError(f"request index must be >= 0, got {self.index}")
+        if not math.isfinite(self.arrival):
+            raise ValueError(f"arrival must be finite, got {self.arrival}")
+        if not math.isfinite(self.deadline):
+            raise ValueError(f"deadline must be finite, got {self.deadline}")
         if self.arrival < 0:
             raise ValueError(f"arrival must be >= 0, got {self.arrival}")
         if self.deadline <= 0:

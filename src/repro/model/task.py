@@ -92,8 +92,10 @@ class TaskType:
         Optional label for reporting.
     row_cache:
         Scratch table of the heuristic RM (:mod:`repro.core.heuristic`):
-        the cpm/energy rows of an unstarted task of this type, keyed by
-        its current resource and migration flags, filled on first use.
+        the :func:`~repro.core.context.cost_rows` of an unstarted task of
+        this type, keyed by its current resource, whether it runs
+        non-preemptively, and whether a move would be charged (started,
+        or the policy charges unstarted tasks); filled on first use.
         Derived data only, so it takes no part in ``==``, ``hash``,
         ``repr`` or pickling.
     """

@@ -231,16 +231,6 @@ class Trace:
                 raise TraceFormatError(
                     f"request {position}: {type(exc).__name__}: {exc}"
                 ) from exc
-            if not math.isfinite(request.arrival):
-                raise TraceFormatError(
-                    f"request {position}: arrival must be finite, "
-                    f"got {request.arrival}"
-                )
-            if not math.isfinite(request.deadline):
-                raise TraceFormatError(
-                    f"request {position}: deadline must be finite, "
-                    f"got {request.deadline}"
-                )
             if requests and request.arrival == requests[-1].arrival:
                 raise TraceFormatError(
                     f"request {position}: duplicate arrival time "

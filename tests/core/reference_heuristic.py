@@ -46,10 +46,11 @@ class ReferenceHeuristic(HeuristicResourceManager):
         down = context.down_resources
 
         # Line 6: desirability f[j,i] = ep + em + M * (cpm > t_left).
-        # The rows replicate PlannedTask.exec_time_on/energy_on inline
-        # (same arithmetic, same order); wcet and energy are finite on
-        # exactly the same resources (TaskType invariant), so one
-        # executability test covers both rows.
+        # The rows replicate repro.core.context.cost_rows inline on
+        # purpose (same arithmetic, same order), so the differential
+        # test also checks the shared cost model; wcet and energy are
+        # finite on exactly the same resources (TaskType invariant), so
+        # one executability test covers both rows.
         desirability: dict[int, list[float]] = {}
         exec_times: dict[int, list[float]] = {}
         # Per task: resources with finite cpm, pre-sorted by (f, i).

@@ -5,7 +5,8 @@ branch-and-bound search over mappings take entirely different routes to
 the same optimisation problem; their agreement on random contexts is the
 strongest correctness evidence in the suite.  The heuristic must always
 produce ground-truth-feasible mappings with energy no better than the
-optimum.
+optimum.  The random contexts include outages: up to two resources that
+hold no task may be down.
 """
 
 import math
@@ -102,7 +103,20 @@ def random_context(draw):
             started=extra.started,
             running_non_preemptable=False,
         )
-    return RMContext(time=0.0, platform=PLATFORM, tasks=tuple(tasks))
+    # An outage takes down up to two resources that hold no task.
+    held = {t.current_resource for t in tasks}
+    free = [i for i in range(PLATFORM.size) if i not in held]
+    down = (
+        draw(st.lists(st.sampled_from(free), max_size=2, unique=True))
+        if free
+        else []
+    )
+    return RMContext(
+        time=0.0,
+        platform=PLATFORM,
+        tasks=tuple(tasks),
+        down_resources=frozenset(down),
+    )
 
 
 # A GPU-only ready job plus a predicted task arriving at exactly 1e-9

@@ -254,10 +254,10 @@ class TestRowTable:
         for task in catalog:
             assert len(task.row_cache) <= (n + 1) * 4
             for key, entry in task.row_cache.items():
-                current, running, migratable = key
+                current, running, charged = key
                 assert current is None or 0 <= current < n
                 assert isinstance(running, bool)
-                assert isinstance(migratable, bool)
+                assert isinstance(charged, bool)
                 assert isinstance(entry, tuple)
                 assert all(
                     isinstance(part, (tuple, float)) for part in entry

@@ -148,6 +148,23 @@ class TestCsvImport:
         with pytest.raises(TraceFormatError, match=r"3: "):
             import_requests_csv(path, list(trace.tasks))
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("column", ["arrival", "deadline"])
+    def test_non_finite_field_reports_line_number(
+        self, trace, tmp_path, column, value
+    ):
+        row = {"arrival": "5.0", "deadline": "40.0", column: value}
+        path = tmp_path / "requests.csv"
+        path.write_text(
+            "index,arrival,type_id,deadline\n"
+            "0,0.0,0,50.0\n"
+            f"1,{row['arrival']},0,{row['deadline']}\n"
+        )
+        with pytest.raises(
+            TraceFormatError, match=rf"requests.csv:3: {column} must be finite"
+        ):
+            import_requests_csv(path, list(trace.tasks))
+
     def test_out_of_range_type_wrapped_with_path(self, trace, tmp_path):
         path = tmp_path / "requests.csv"
         path.write_text(
