@@ -343,6 +343,16 @@ class Timeline:
     rescanning the clean prefix; future/tiny bookkeeping edits never
     touch the chain cache at all.  A non-mutating ``probe`` likewise
     re-accumulates only the suffix at the hypothetical insertion point.
+
+    A ready-only probe that succeeds *keeps* what it computed: the job's
+    ``(job_id, exec_time, deadline)``, its insertion point and the
+    finish times from there on.  An ``insert`` of exactly that job into
+    the chain splices those finishes in, so the chain stays clean and
+    the next query re-adds nothing.  The kept finishes are the sums a
+    refresh would make, in the same order, and the probe has shown that
+    none of them misses.  Every other mutation drops the kept state
+    (``_mark_chain_dirty`` and ``_invalidate_refs`` clear it), so it
+    never outlives the chain it was computed on.
     """
 
     __slots__ = (
@@ -361,6 +371,7 @@ class Timeline:
         "_forced_missed",
         "_miss_count",
         "_dirty_from",
+        "_kept",
         "_ref",
         "_lists",
     )
@@ -387,6 +398,9 @@ class Timeline:
         # (None = clean).  0 additionally re-derives the forced job's
         # finish, the base of the chain.
         self._dirty_from: int | None = 0
+        # The last feasible ready-only probe on the current chain:
+        # (job_id, exec_time, deadline, pos, finishes from pos), or None.
+        self._kept: tuple[int, float, float, int, list[float]] | None = None
         self._ref: ResourceTimeline | None = None
         self._lists: tuple[list[ReadyJob], list[FutureJob]] | None = None
 
@@ -461,6 +475,23 @@ class Timeline:
             self._mark_chain_dirty(0)
         else:
             key = (deadline, job_id)
+            kept = self._kept
+            if (
+                kept is not None
+                and kept[0] == job_id
+                and kept[1] == exec_time
+                and kept[2] == deadline
+            ):
+                # The probe of this very job on this very chain already
+                # summed the suffix, with no miss: splice its finishes
+                # in, and the chain stays clean.
+                pos = kept[3]
+                self._keys.insert(pos, key)
+                self._execs.insert(pos, exec_time)
+                self._finish[pos:] = kept[4]
+                self._missed.insert(pos, False)
+                self._invalidate_refs()
+                return
             pos = bisect_left(self._keys, key)
             self._keys.insert(pos, key)
             self._execs.insert(pos, exec_time)
@@ -516,12 +547,15 @@ class Timeline:
         """Chain edited at ``pos``: everything from there is stale."""
         if self._dirty_from is None or pos < self._dirty_from:
             self._dirty_from = pos
+        self._kept = None
         self._ref = None
         self._lists = None
 
     def _invalidate_refs(self) -> None:
         """Non-chain mutation (future/tiny bookkeeping): the ready-chain
-        cache stays valid, only the reference replay is stale."""
+        cache stays valid, only the reference replay and the kept probe
+        are stale."""
+        self._kept = None
         self._ref = None
         self._lists = None
 
@@ -650,15 +684,21 @@ class Timeline:
                 if time > key[0] + EPS:
                     return False
             return True
-        pos = bisect_left(self._keys, (deadline, job_id))
+        keys = self._keys
+        execs = self._execs
+        pos = bisect_left(keys, (deadline, job_id))
         time = self._finish[pos - 1] if pos else self._base_finish()
         time = time + exec_time
         if time > deadline + EPS:
             return False
-        for index in range(pos, len(self._keys)):
-            time = time + self._execs[index]
-            if time > self._keys[index][0] + EPS:
+        finishes = [time]
+        for index in range(pos, len(keys)):
+            time = time + execs[index]
+            if time > keys[index][0] + EPS:
                 return False
+            finishes.append(time)
+        # Kept for an insert of this job (see the class docstring).
+        self._kept = (job_id, exec_time, deadline, pos, finishes)
         return True
 
     def finish_times(self) -> dict[int, float]:
@@ -765,6 +805,17 @@ class Timeline:
         boundaries there — so it merely shifts the chain base to
         :meth:`_base_finish`; on a preemptable resource the flag is
         ignored and the job sits in the chain, exactly as in the replay.
+
+        The walk checks every chain job's deadline itself, so it needs no
+        refreshed chain; only the forced job, which it never visits, is
+        checked up front.  There is deliberately no "the ready chain
+        already misses, so the superset misses too" exit.  That holds
+        for ready-only EDF, where adding work only adds terms to the same
+        sums, but not here: when the arrival preempts a job, the job's
+        finish becomes ``a + (exec - (a - t0))``, which can round one ulp
+        below ``t0 + exec``.  A chain whose job misses by that ulp on its
+        own then meets its deadline in the replay, so such an exit would
+        refuse a feasible probe.
         """
         if exec_time <= EPS:
             return None
@@ -782,11 +833,9 @@ class Timeline:
                 return None  # never scheduled; rare enough for the replay
             future = (f_arrival, f_exec, f_deadline, f_id)
             ready = (deadline, job_id, exec_time)
-        self._refresh()
-        if self._miss_count > 0 or self._forced_missed:
-            # Adding work never repairs a miss (finish times are
-            # monotone in the job set), so the superset misses too.
-            return False
+        forced = self._forced_entry
+        if forced is not None and self._start + forced[1] > forced[2] + EPS:
+            return False  # the forced job runs first and misses alone
         jobs = list(zip(self._keys, self._execs))
         if ready is not None:
             rkey = (ready[0], ready[1])

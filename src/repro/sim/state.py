@@ -20,7 +20,7 @@ Accounting rules (DESIGN.md semantics):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.context import PlannedTask
 from repro.model import EPS
@@ -73,6 +73,8 @@ class JobState:
     energy_this_attempt: float = 0.0
     migrations: int = 0
     aborts: int = 0
+    # The last view built (see planned_view); not part of the state.
+    _view: PlannedTask | None = field(default=None, repr=False, compare=False)
 
     @property
     def job_id(self) -> int:
@@ -92,17 +94,37 @@ class JobState:
         )
 
     def planned_view(self) -> PlannedTask:
-        """The RM's view of this job (see :class:`PlannedTask`)."""
-        return PlannedTask(
-            job_id=self.job_id,
-            task=self.task,
-            absolute_deadline=self.absolute_deadline,
-            remaining_fraction=self.remaining_fraction,
-            current_resource=self.resource,
-            started=self.started,
-            running_non_preemptable=self.running_non_preemptable,
-            pending_migration_time=self.pending_migration_time,
-        )
+        """The RM's view of this job (see :class:`PlannedTask`).
+
+        Returns the view built at an earlier call while the five fields
+        it copies from the mutable state are unchanged, so a job that
+        did not run or move between activations costs no new view.  The
+        check is made here, on read, rather than by invalidating at each
+        mutation: a check on read cannot go stale, whichever code writes
+        the fields.  ``request`` and ``task`` identify the job and are
+        fixed at admission.  A shared view is safe, because
+        :class:`PlannedTask` is frozen.
+        """
+        view = self._view
+        if (
+            view is None
+            or view.remaining_fraction != self.remaining_fraction
+            or view.current_resource != self.resource
+            or view.started != self.started
+            or view.running_non_preemptable != self.running_non_preemptable
+            or view.pending_migration_time != self.pending_migration_time
+        ):
+            view = self._view = PlannedTask(
+                job_id=self.job_id,
+                task=self.task,
+                absolute_deadline=self.absolute_deadline,
+                remaining_fraction=self.remaining_fraction,
+                current_resource=self.resource,
+                started=self.started,
+                running_non_preemptable=self.running_non_preemptable,
+                pending_migration_time=self.pending_migration_time,
+            )
+        return view
 
 
 class PlatformState:

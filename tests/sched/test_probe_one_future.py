@@ -11,6 +11,9 @@ timeline, so any divergence — including a single flipped EPS comparison
 — fails loudly.
 """
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,3 +195,113 @@ class TestOutsideTheProof:
         )
         actual = timeline.probe(job_id, 1.0, 2.0, must_run_first=True)
         assert actual == expected
+
+
+def unquantised(low: float, high: float):
+    """Floats in ``[low, high]`` whose mantissas use every bit, so sums
+    round (multiples of :data:`QUANTA` add exactly)."""
+    scale = 10**7
+    return st.integers(
+        min_value=int(low * scale), max_value=int(high * scale)
+    ).map(lambda n: n / scale)
+
+
+def deadline_near(finish: float, ulps: int) -> float:
+    """A deadline whose ``deadline + EPS`` lands within a few ulps of
+    ``finish``, on either side."""
+    deadline = finish - EPS
+    for _ in range(abs(ulps)):
+        deadline = math.nextafter(deadline, math.copysign(math.inf, ulps))
+    return deadline
+
+
+def check_near_the_split(
+    start, execs, split, ulps, f_exec, f_slack, probe_ready, preemptable
+):
+    """The arrival falls inside the first chain job.  That job's
+    deadline sits a few ulps from its finish once split, the later
+    jobs' deadlines a few ulps from their sequential finishes.  With
+    ``probe_ready`` the future is in the timeline and the last chain job
+    is the probe."""
+    arrival = start + split / 1000 * execs[0]
+    if arrival <= start + EPS:
+        return  # an effectively-ready arrival is not split
+    split_finish = arrival + (execs[0] - (arrival - start))
+    chain = [(0, execs[0], deadline_near(split_finish, ulps))]
+    finish = start + execs[0]
+    for job_id, exec_time in enumerate(execs[1:], start=1):
+        finish = finish + exec_time
+        chain.append((job_id, exec_time, deadline_near(finish, ulps)))
+    if any(a[2] >= b[2] for a, b in zip(chain, chain[1:], strict=False)):
+        return  # keep the chain in EDF order
+    future = (100, f_exec, arrival + f_exec + f_slack)
+    timeline = Timeline(start_time=start, preemptable=preemptable)
+    if probe_ready and len(chain) > 1:
+        *chain, probe = chain
+        for job in chain:
+            timeline.insert(*job)
+        timeline.insert(*future, arrival=arrival)
+        probe_id, exec_time, deadline = probe
+        assert_probe_matches_reference(
+            timeline, probe_id, exec_time, deadline, None
+        )
+    else:
+        for job in chain:
+            timeline.insert(*job)
+        assert_probe_matches_reference(timeline, *future, arrival)
+
+
+# Draws for check_near_the_split, shared by its tier-1 and slow tests.
+NEAR_THE_SPLIT = {
+    "start": unquantised(0.0, 100.0),
+    "execs": st.lists(unquantised(0.01, 50.0), min_size=1, max_size=3),
+    "split": st.integers(min_value=1, max_value=999),
+    "ulps": st.integers(min_value=-3, max_value=3),
+    "f_exec": unquantised(0.01, 5.0),
+    "f_slack": unquantised(0.0, 200.0),
+    "probe_ready": st.booleans(),
+    "preemptable": st.booleans(),
+}
+
+
+class TestSplitRounding:
+    """A preempting arrival splits a job into ``a - t0`` and
+    ``exec - (a - t0)``, and ``a + (exec - (a - t0))`` can round one ulp
+    below ``t0 + exec``.  A chain that misses its deadline by that ulp on
+    its own then meets it once the arrival splits it, so "the chain
+    already misses" is no reason to refuse the probe."""
+
+    def test_split_job_meets_a_deadline_the_chain_alone_misses(self):
+        timeline = Timeline(start_time=1.045901235078417, preemptable=True)
+        timeline.insert(0, 47.18312351449605, 48.22902474857447)
+        assert timeline.feasible() is False
+        args = (10**9, 0.5, 148.22902474957448)
+        arrival = 15.787991109611628
+        assert timeline._probe_reference(
+            *args, arrival=arrival, must_run_first=False
+        ) is True
+        assert timeline.probe(*args, arrival=arrival) is True
+
+    @given(**NEAR_THE_SPLIT)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_near_the_split(
+        self, start, execs, split, ulps, f_exec, f_slack, probe_ready,
+        preemptable,
+    ):
+        check_near_the_split(
+            start, execs, split, ulps, f_exec, f_slack, probe_ready,
+            preemptable,
+        )
+
+    @pytest.mark.slow
+    @given(**NEAR_THE_SPLIT)
+    @settings(max_examples=5000, deadline=None)
+    def test_matches_reference_near_the_split_slow(
+        self, start, execs, split, ulps, f_exec, f_slack, probe_ready,
+        preemptable,
+    ):
+        check_near_the_split(
+            start, execs, split, ulps, f_exec, f_slack, probe_ready,
+            preemptable,
+        )
+

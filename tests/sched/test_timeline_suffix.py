@@ -88,3 +88,76 @@ class TestStackedMutations:
         timeline.insert(9, 3.0, 1.0)  # deadline 1.0: position 0, misses
         jobs[9] = (3.0, 1.0)
         assert timeline.feasible() == fresh_feasible(jobs)
+
+
+def fresh_finish_times(
+    jobs: dict[int, tuple[float, float]], *, start_time: float = 0.0
+) -> dict[int, float]:
+    """Uncached oracle: finish times of ``{job_id: (exec, deadline)}``."""
+    return dict(
+        build_timeline(
+            [ReadyJob(job_id, exec_time, deadline)
+             for job_id, (exec_time, deadline) in jobs.items()],
+            [],
+            start_time=start_time,
+            preemptable=True,
+        ).finish_times
+    )
+
+
+class TestProbeSplice:
+    """A feasible ready probe keeps its finishes; an insert of the same
+    job splices them in instead of dirtying the chain."""
+
+    @staticmethod
+    def chain() -> tuple[Timeline, dict[int, tuple[float, float]]]:
+        timeline = Timeline(start_time=0.3, preemptable=True)
+        jobs = {job_id: (0.1 * (job_id + 1), 10.0 + job_id)
+                for job_id in range(6)}
+        for job_id, (exec_time, deadline) in jobs.items():
+            timeline.insert(job_id, exec_time, deadline)
+        assert timeline.feasible()
+        return timeline, jobs
+
+    def test_insert_after_feasible_probe_leaves_chain_clean(self):
+        timeline, jobs = self.chain()
+        assert timeline.probe(50, 0.7, 12.5) is True
+        timeline.insert(50, 0.7, 12.5)
+        assert timeline._dirty_from is None
+        jobs[50] = (0.7, 12.5)
+        assert timeline.finish_times() == fresh_finish_times(
+            jobs, start_time=0.3
+        )
+        assert timeline.feasible()
+
+    def test_insert_of_another_job_ignores_the_kept_probe(self):
+        timeline, jobs = self.chain()
+        # Same numbers, but job 2 (deadline 12.0) sorts between the two.
+        assert timeline.probe(-1, 0.7, 12.0) is True
+        timeline.insert(50, 0.7, 12.0)
+        jobs[50] = (0.7, 12.0)
+        assert timeline.finish_times() == fresh_finish_times(
+            jobs, start_time=0.3
+        )
+
+    def test_mutation_between_probe_and_insert_drops_the_kept_probe(self):
+        timeline, jobs = self.chain()
+        assert timeline.probe(50, 0.7, 12.5) is True
+        timeline.remove(1)
+        del jobs[1]
+        timeline.insert(50, 0.7, 12.5)
+        jobs[50] = (0.7, 12.5)
+        assert timeline.finish_times() == fresh_finish_times(
+            jobs, start_time=0.3
+        )
+
+    def test_failed_probe_keeps_nothing(self):
+        timeline, jobs = self.chain()
+        assert timeline.probe(50, 30.0, 12.5) is False
+        timeline.insert(50, 30.0, 12.5)
+        jobs[50] = (30.0, 12.5)
+        assert timeline._dirty_from is not None
+        assert timeline.finish_times() == fresh_finish_times(
+            jobs, start_time=0.3
+        )
+        assert not timeline.feasible()
