@@ -1,8 +1,7 @@
 """Async-safety rules for the live serve path (RPR10x).
 
-PR 6 made the reproduction a long-running asyncio daemon; these rules
-statically guard its event loop against the defect classes that silently
-break sim/live parity:
+These rules statically guard the asyncio daemon's event loop against
+the defect classes that silently break sim/live parity:
 
 ``RPR101`` — blocking call inside ``async def``.
     ``time.sleep``, synchronous socket/subprocess work, plain ``open``
@@ -19,9 +18,9 @@ break sim/live parity:
     ``AdmissionEngine`` / ``UsageDepository`` objects are single-writer
     by design: every mutation flows through the dispatch queue consumed
     by one dispatcher task, which is what keeps live decisions ordered
-    exactly like the simulator's.  An ``async def`` outside the
-    configured dispatcher set that assigns through, or calls a mutating
-    method on, a shared-state attribute chain re-introduces the
+    exactly like the simulator's.  An ``async def`` other than the
+    dispatcher (``DISPATCHER_FUNCTIONS``) that assigns through, or calls
+    a mutating method on, a shared-state attribute chain re-introduces the
     interleaving the queue exists to prevent.
 ``RPR104`` — OS clock read bypassing ``WallClock``.
     Inside the serve packages, decisions read the platform state's
@@ -29,22 +28,18 @@ break sim/live parity:
     from :class:`~repro.serve.clock.WallClock` — ``time.*`` and
     asyncio's ``loop.time()`` readings diverge between replay and live
     modes and void the parity guarantee.  Only the wall-clock module
-    itself (``clock_exempt_prefixes``) may touch the OS clock.
+    itself (``CLOCK_EXEMPT_PREFIXES``) may touch the OS clock.
 
-All four rules are pure AST checks configured by
-:class:`~repro.analysis.engine.LintConfig`; RPR103/RPR104 apply only to
-modules under ``serve_prefixes``.
+All four rules are pure AST checks; RPR103/RPR104 apply only to modules
+under ``SERVE_PREFIXES``.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis.engine import (
-    LintRule,
-    RuleContext,
-    register_rule,
-)
+from repro.analysis.engine import LintRule, RuleContext
+from repro.analysis.rules_core import MONOTONIC_NAMES, WALL_CLOCK_NAMES
 
 __all__ = [
     "AsyncBlockingCallRule",
@@ -54,7 +49,26 @@ __all__ = [
 ]
 
 
-@register_rule
+#: Exact dotted calls RPR101 flags inside ``async def``.
+BLOCKING_CALL_NAMES = frozenset(
+    {
+        "time.sleep",
+        "socket.create_connection", "socket.getaddrinfo",
+        "socket.gethostbyname", "socket.socket",
+        "subprocess.call", "subprocess.check_call",
+        "subprocess.check_output", "subprocess.run",
+        "os.system", "os.wait", "os.waitpid",
+        "urllib.request.urlopen",
+        "open",
+    }
+)
+#: Dotted prefixes RPR101 flags inside ``async def``.
+BLOCKING_CALL_PREFIXES = ("socket.", "subprocess.")
+#: Classes whose construction performs blocking I/O (``ServeClient``
+#: opens a socket in ``__init__``).
+BLOCKING_CONSTRUCTORS = frozenset({"ServeClient"})
+
+
 class AsyncBlockingCallRule(LintRule):
     id = "RPR101"
     description = "blocking call inside async def stalls the event loop"
@@ -65,7 +79,7 @@ class AsyncBlockingCallRule(LintRule):
         if dotted is None or not ctx.in_async_function():
             return
         terminal = dotted.split(".")[-1]
-        if terminal in ctx.config.blocking_constructors:
+        if terminal in BLOCKING_CONSTRUCTORS:
             ctx.emit(
                 self.id,
                 node,
@@ -75,9 +89,9 @@ class AsyncBlockingCallRule(LintRule):
                 "or run the client in a thread",
             )
             return
-        blocking = dotted in ctx.config.blocking_call_names or any(
+        blocking = dotted in BLOCKING_CALL_NAMES or any(
             dotted.startswith(prefix)
-            for prefix in ctx.config.blocking_call_prefixes
+            for prefix in BLOCKING_CALL_PREFIXES
         )
         if blocking:
             hint = (
@@ -93,7 +107,13 @@ class AsyncBlockingCallRule(LintRule):
             )
 
 
-@register_rule
+#: Dotted names known to return coroutines even without a local
+#: ``async def``.
+ASYNC_KNOWN_COROUTINES = frozenset(
+    {"asyncio.sleep", "asyncio.gather", "asyncio.wait_for"}
+)
+
+
 class UnawaitedCoroutineRule(LintRule):
     id = "RPR102"
     description = "coroutine called but never awaited or scheduled"
@@ -107,7 +127,7 @@ class UnawaitedCoroutineRule(LintRule):
             return
         terminal = dotted.split(".")[-1]
         is_coroutine = (
-            dotted in ctx.config.async_known_coroutines
+            dotted in ASYNC_KNOWN_COROUTINES
             or terminal in ctx.async_defs
         )
         if not is_coroutine:
@@ -121,16 +141,34 @@ class UnawaitedCoroutineRule(LintRule):
         )
 
 
-@register_rule
+#: Modules holding event-loop engine logic; RPR103 and RPR104 apply
+#: only there.
+SERVE_PREFIXES = ("repro.serve",)
+#: Attribute names of loop-shared engine objects (RPR103 watches
+#: attribute chains through them).
+SHARED_STATE_ROOTS = frozenset({"engine", "depository"})
+#: Methods that mutate those objects.
+SHARED_STATE_MUTATORS = frozenset(
+    {
+        "admit", "advance", "apply_mapping", "catch_up", "decide",
+        "drain", "mark_reprovisioned", "record_completion",
+        "record_decision", "record_shed", "remap", "score_forecast",
+    }
+)
+#: The ``async def`` allowed to mutate shared engine state (the
+#: dispatch-queue consumer).
+DISPATCHER_FUNCTIONS = frozenset({"_dispatch_loop"})
+
+
 class SharedStateRule(LintRule):
     id = "RPR103"
     description = "shared engine state mutated outside the dispatch queue"
 
     def _applies(self, ctx: RuleContext) -> bool:
         return (
-            ctx.module_matches(ctx.config.serve_prefixes)
+            ctx.module_matches(SERVE_PREFIXES)
             and ctx.in_async_function()
-            and ctx.current_function() not in ctx.config.dispatcher_functions
+            and ctx.current_function() not in DISPATCHER_FUNCTIONS
         )
 
     def _shared_root(
@@ -139,7 +177,7 @@ class SharedStateRule(LintRule):
         """The shared-state attribute the chain passes through (skipping
         a leading ``self``), or ``None``."""
         for part in chain[:-1]:  # the terminal attr/method is the access
-            if part in ctx.config.shared_state_roots:
+            if part in SHARED_STATE_ROOTS:
                 return part
         return None
 
@@ -179,7 +217,7 @@ class SharedStateRule(LintRule):
         if len(chain) < 2:
             return
         method = chain[-1]
-        if method not in ctx.config.shared_state_mutators:
+        if method not in SHARED_STATE_MUTATORS:
             return
         root = self._shared_root(ctx, chain)
         if root is not None:
@@ -192,7 +230,11 @@ class SharedStateRule(LintRule):
             )
 
 
-@register_rule
+#: Serve modules that implement the live ``WallClock`` and may read
+#: the OS clock.
+CLOCK_EXEMPT_PREFIXES = ("repro.serve.clock",)
+
+
 class ServeClockRule(LintRule):
     id = "RPR104"
     description = "OS clock read in serve logic bypassing WallClock"
@@ -200,15 +242,15 @@ class ServeClockRule(LintRule):
     def visit_call(
         self, ctx: RuleContext, node: ast.Call, dotted: str | None
     ) -> None:
-        if not ctx.module_matches(ctx.config.serve_prefixes):
+        if not ctx.module_matches(SERVE_PREFIXES):
             return
-        if ctx.module_matches(ctx.config.clock_exempt_prefixes):
+        if ctx.module_matches(CLOCK_EXEMPT_PREFIXES):
             return
         if dotted is None:
             return
         if (
-            dotted in ctx.config.monotonic_names
-            or dotted in ctx.config.wall_clock_names
+            dotted in MONOTONIC_NAMES
+            or dotted in WALL_CLOCK_NAMES
         ):
             ctx.emit(
                 self.id,

@@ -1,6 +1,4 @@
-"""The original determinism/picklability rule family (RPR00x).
-
-These are the PR-2 rules, re-hosted on the rule-registry engine:
+"""The determinism/picklability rule family (RPR00x).
 
 ``RPR001`` — unseeded / global-state randomness.
     Calls into ``random``'s module-level functions or ``numpy.random``'s
@@ -18,10 +16,10 @@ These are the PR-2 rules, re-hosted on the rule-registry engine:
     sources too: constructing one without a seed is flagged.
 ``RPR002`` — wall-clock reads in deterministic logic.
     ``time.time()``-style wall-clock reads are banned everywhere;
-    monotonic duration timers (``perf_counter`` ...) are allowed only in
-    the config's ``monotonic_allowed_prefixes`` (observability layers,
-    the live ``WallClock``, tests) — never in sim/sched/core logic, where
-    they would leak host timing into results.
+    monotonic duration timers (``perf_counter`` ...) are allowed only
+    under ``MONOTONIC_ALLOWED_PREFIXES`` (observability layers, the live
+    ``WallClock``, tests) — never in sim/sched/core logic, where they
+    would leak host timing into results.
 ``RPR003`` — registry bypass.
     Direct construction of a registered strategy/predictor class
     outside its defining packages or :mod:`repro.registry`
@@ -35,11 +33,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.engine import (
-    LintRule,
-    RuleContext,
-    register_rule,
-)
+from repro.analysis.engine import LintRule, RuleContext, record_import
 
 __all__ = [
     "RandomnessRule",
@@ -47,7 +41,6 @@ __all__ = [
     "RunSpecRule",
     "WallClockRule",
 ]
-
 
 def _unseeded(node: ast.Call) -> bool:
     """True when a generator-constructor call carries no usable seed."""
@@ -237,7 +230,25 @@ class _RngHelperScanner(ast.NodeVisitor):
 _ALWAYS_UNSEEDED = object()
 
 
-@register_rule
+#: Module-level functions of stdlib ``random`` (global state).
+STDLIB_RANDOM_FNS = frozenset(
+    {
+        "betavariate", "choice", "choices", "expovariate", "gammavariate",
+        "gauss", "getrandbits", "getstate", "lognormvariate",
+        "normalvariate", "paretovariate", "randbytes", "randint",
+        "random", "randrange", "sample", "seed", "setstate", "shuffle",
+        "triangular", "uniform", "vonmisesvariate", "weibullvariate",
+    }
+)
+#: ``numpy.random`` attributes that are *not* the legacy global-state API.
+NUMPY_RANDOM_SAFE = frozenset(
+    {
+        "BitGenerator", "Generator", "MT19937", "PCG64", "PCG64DXSM",
+        "Philox", "RandomState", "SFC64", "SeedSequence", "default_rng",
+    }
+)
+
+
 class RandomnessRule(LintRule):
     id = "RPR001"
     description = "unseeded or global-state randomness"
@@ -247,24 +258,12 @@ class RandomnessRule(LintRule):
         self._class_like: set[str] = set()
 
     def begin_module(self, ctx: RuleContext, tree: ast.Module) -> None:
-        # The taint pre-scan needs the alias table, which the engine
-        # only builds during the walk — resolve imports up front.
-        prescan = RuleContext(ctx.module, ctx.config)
+        # The taint pre-scan needs the alias table, which the walk
+        # only builds as it goes — resolve imports up front.
+        prescan = RuleContext(ctx.module, ctx.path)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    prescan.aliases[
-                        alias.asname or alias.name.split(".")[0]
-                    ] = alias.name if alias.asname else alias.name.split(".")[0]
-            elif (
-                isinstance(node, ast.ImportFrom)
-                and node.module
-                and node.level == 0
-            ):
-                for alias in node.names:
-                    prescan.aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                record_import(prescan.aliases, node)
         scanner = _RngHelperScanner(prescan)
         scanner.visit(tree)
         self._helpers = scanner.helpers
@@ -277,7 +276,7 @@ class RandomnessRule(LintRule):
             return
         parts = dotted.split(".")
         if parts[0] == "random" and len(parts) == 2:
-            if parts[1] in ctx.config.stdlib_random_fns:
+            if parts[1] in STDLIB_RANDOM_FNS:
                 ctx.emit(
                     self.id,
                     node,
@@ -287,7 +286,7 @@ class RandomnessRule(LintRule):
             return
         if len(parts) >= 2 and parts[0] == "numpy" and parts[1] == "random":
             tail = parts[-1]
-            if len(parts) == 3 and tail not in ctx.config.numpy_random_safe:
+            if len(parts) == 3 and tail not in NUMPY_RANDOM_SAFE:
                 ctx.emit(
                     self.id,
                     node,
@@ -364,7 +363,37 @@ class RandomnessRule(LintRule):
             )
 
 
-@register_rule
+#: Wall-clock reads, banned everywhere (RPR104 reads this set and
+#: ``MONOTONIC_NAMES`` too).
+WALL_CLOCK_NAMES = frozenset(
+    {
+        "time.asctime", "time.ctime", "time.gmtime", "time.localtime",
+        "time.strftime", "time.time", "time.time_ns",
+        "datetime.date.today", "datetime.datetime.now",
+        "datetime.datetime.today", "datetime.datetime.utcnow",
+    }
+)
+#: Monotonic duration timers, confined to ``MONOTONIC_ALLOWED_PREFIXES``.
+MONOTONIC_NAMES = frozenset(
+    {
+        "time.monotonic", "time.monotonic_ns", "time.perf_counter",
+        "time.perf_counter_ns", "time.process_time", "time.process_time_ns",
+    }
+)
+#: Modules where monotonic duration timers are legitimate.
+MONOTONIC_ALLOWED_PREFIXES = (
+    "repro.experiments",
+    "repro.cli",
+    "repro.analysis",
+    "repro.faults",
+    "repro.obs",
+    "repro.serve.clock",
+    "repro.serve.smoke",
+    "repro.serve.chaos",
+    "tests",
+)
+
+
 class WallClockRule(LintRule):
     id = "RPR002"
     description = "wall-clock read in deterministic logic"
@@ -374,26 +403,42 @@ class WallClockRule(LintRule):
     ) -> None:
         if dotted is None:
             return
-        if dotted in ctx.config.wall_clock_names:
+        if dotted in WALL_CLOCK_NAMES:
             ctx.emit(
                 self.id,
                 node,
                 f"wall-clock read {dotted}(); simulated time must come "
                 "from the event loop, never the host clock",
             )
-        elif dotted in ctx.config.monotonic_names and not ctx.module_matches(
-            ctx.config.monotonic_allowed_prefixes
+        elif dotted in MONOTONIC_NAMES and not ctx.module_matches(
+            MONOTONIC_ALLOWED_PREFIXES
         ):
             ctx.emit(
                 self.id,
                 node,
                 f"{dotted}() outside the observability layers "
-                f"({', '.join(ctx.config.monotonic_allowed_prefixes)}); "
+                f"({', '.join(MONOTONIC_ALLOWED_PREFIXES)}); "
                 "sim/sched/core logic must stay clock-free",
             )
 
 
-@register_rule
+#: Registered classes whose direct construction bypasses the registry.
+REGISTRY_CLASSES = frozenset(
+    {
+        "HeuristicResourceManager", "MilpResourceManager",
+        "ExactResourceManager", "OraclePredictor", "ComposedPredictor",
+        "TypeNoisePredictor", "ArrivalNoisePredictor",
+    }
+)
+#: Modules allowed to construct those classes directly.
+REGISTRY_ALLOWED_PREFIXES = (
+    "repro.registry",
+    "repro.core",
+    "repro.predict",
+    "tests",
+)
+
+
 class RegistryBypassRule(LintRule):
     id = "RPR003"
     description = "strategy/predictor construction bypassing repro.registry"
@@ -404,9 +449,9 @@ class RegistryBypassRule(LintRule):
         if dotted is None:
             return
         terminal = dotted.split(".")[-1]
-        if terminal not in ctx.config.registry_classes:
+        if terminal not in REGISTRY_CLASSES:
             return
-        if ctx.module_matches(ctx.config.registry_allowed_prefixes):
+        if ctx.module_matches(REGISTRY_ALLOWED_PREFIXES):
             return
         ctx.emit(
             self.id,
@@ -416,7 +461,6 @@ class RegistryBypassRule(LintRule):
         )
 
 
-@register_rule
 class RunSpecRule(LintRule):
     id = "RPR004"
     description = "unpicklable lambda/closure in RunSpec construction"

@@ -8,9 +8,8 @@ client must be able to send it, and every error code must actually be
 emitted somewhere (a declared-but-dead code is a contract nobody keeps;
 an emitted-but-undeclared code is a contract nobody knows about).
 
-These are cross-file checks, so they run as
-:class:`~repro.analysis.engine.ProjectRule`\\ s over any scanned
-directory containing a ``protocol.py`` + ``server.py`` pair:
+These are cross-file checks: :func:`check_protocol` runs over any
+scanned directory containing a ``protocol.py`` + ``server.py`` pair:
 
 ``RPR201`` — control op declared but unhandled.
     An op in ``CONTROL_OPS`` that the server's dispatch never compares
@@ -34,19 +33,23 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.analysis.engine import (
-    LintConfig,
-    LintFinding,
-    ProjectRule,
-    register_rule,
-    register_satellite_rule,
-)
+from repro.analysis.engine import LintFinding
 
 __all__ = [
+    "PROTOCOL_RULES",
     "ProtocolSurface",
-    "ProtocolExhaustivenessRule",
+    "check_protocol",
     "extract_surface",
+    "is_protocol_package",
 ]
+
+#: Rule id -> one-line description of each id :func:`check_protocol`
+#: emits.
+PROTOCOL_RULES = {
+    "RPR201": "wire-protocol surface declared but unhandled (or vice versa)",
+    "RPR202": "error code declared in ERROR_CODES but never emitted",
+    "RPR203": "error code emitted but missing from ERROR_CODES",
+}
 
 _PROTOCOL_FILE = "protocol.py"
 _SERVER_FILE = "server.py"
@@ -185,92 +188,70 @@ def extract_surface(directory: Path) -> ProtocolSurface:
     return surface
 
 
-@register_rule
-class ProtocolExhaustivenessRule(ProjectRule):
-    id = "RPR201"
-    description = "wire-protocol surface declared but unhandled (or vice versa)"
+def is_protocol_package(directory: Path) -> bool:
+    """Whether ``directory`` holds a protocol/server pair to check."""
+    return (directory / _PROTOCOL_FILE).is_file() and (
+        directory / _SERVER_FILE
+    ).is_file()
 
-    #: The two satellite ids this project rule also owns; kept on the
-    #: class so the catalogue and `select_rules` see the whole family.
-    code_unused_id = "RPR202"
-    code_undeclared_id = "RPR203"
 
-    def applies_to(self, directory: Path) -> bool:
-        return (directory / _PROTOCOL_FILE).is_file() and (
-            directory / _SERVER_FILE
-        ).is_file()
+def check_protocol(directory: Path) -> list[LintFinding]:
+    """RPR201-203 findings of one protocol package, sorted by location."""
+    surface = extract_surface(directory)
+    protocol_path = str(directory / _PROTOCOL_FILE)
+    findings: list[LintFinding] = []
 
-    def check(self, directory: Path, config: LintConfig) -> list[LintFinding]:
-        surface = extract_surface(directory)
-        protocol_path = str(directory / _PROTOCOL_FILE)
-        findings: list[LintFinding] = []
+    def emit(rule: str, path: str, line: int, message: str) -> None:
+        findings.append(
+            LintFinding(rule=rule, path=path, line=line, col=0, message=message)
+        )
 
-        def emit(
-            rule: str, path: str, line: int, message: str
-        ) -> None:
-            if rule in config.rules:
-                findings.append(
-                    LintFinding(
-                        rule=rule, path=path, line=line, col=0, message=message
-                    )
-                )
-
-        has_client = (directory / _CLIENT_FILE).is_file()
-        for op, (path, line) in sorted(surface.declared_ops.items()):
-            if op not in surface.server_ops:
-                emit(
-                    self.id,
-                    path,
-                    line,
-                    f"control op {op!r} is declared in CONTROL_OPS but the "
-                    "server dispatch never handles it",
-                )
-            if has_client and op not in surface.client_ops:
-                emit(
-                    self.id,
-                    path,
-                    line,
-                    f"control op {op!r} is declared in CONTROL_OPS but the "
-                    "client cannot send it",
-                )
-
-        if not surface.has_error_registry:
+    has_client = (directory / _CLIENT_FILE).is_file()
+    for op, (path, line) in sorted(surface.declared_ops.items()):
+        if op not in surface.server_ops:
             emit(
-                self.code_undeclared_id,
-                protocol_path,
-                1,
-                "protocol.py declares no ERROR_CODES registry; stable "
-                "error codes must be declared in one place",
+                "RPR201",
+                path,
+                line,
+                f"control op {op!r} is declared in CONTROL_OPS but the "
+                "server dispatch never handles it",
             )
-        else:
-            for code, (path, line) in sorted(surface.declared_codes.items()):
-                if code not in surface.emitted_codes:
-                    emit(
-                        self.code_unused_id,
-                        path,
-                        line,
-                        f"error code {code!r} is declared in ERROR_CODES "
-                        "but no handler ever emits it",
-                    )
-            for code, (path, line) in sorted(surface.emitted_codes.items()):
-                if code not in surface.declared_codes:
-                    emit(
-                        self.code_undeclared_id,
-                        path,
-                        line,
-                        f"error code {code!r} is emitted here but missing "
-                        "from ERROR_CODES; clients cannot rely on "
-                        "undeclared codes",
-                    )
-        findings.sort(key=lambda f: (f.path, f.line, f.rule))
-        return findings
+        if has_client and op not in surface.client_ops:
+            emit(
+                "RPR201",
+                path,
+                line,
+                f"control op {op!r} is declared in CONTROL_OPS but the "
+                "client cannot send it",
+            )
 
-
-register_satellite_rule(
-    ProtocolExhaustivenessRule.code_unused_id,
-    "error code declared in ERROR_CODES but never emitted",
-)
-register_satellite_rule(
-    ProtocolExhaustivenessRule.code_undeclared_id,
-    "error code emitted but missing from ERROR_CODES",
-)
+    if not surface.has_error_registry:
+        emit(
+            "RPR203",
+            protocol_path,
+            1,
+            "protocol.py declares no ERROR_CODES registry; stable "
+            "error codes must be declared in one place",
+        )
+    else:
+        for code, (path, line) in sorted(surface.declared_codes.items()):
+            if code not in surface.emitted_codes:
+                emit(
+                    "RPR202",
+                    path,
+                    line,
+                    f"error code {code!r} is declared in ERROR_CODES "
+                    "but no handler ever emits it",
+                )
+        for code, (path, line) in sorted(surface.emitted_codes.items()):
+            if code not in surface.declared_codes:
+                emit(
+                    "RPR203",
+                    path,
+                    line,
+                    f"error code {code!r} is emitted here but missing "
+                    "from ERROR_CODES; clients cannot rely on "
+                    "undeclared codes",
+                )
+    findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    return findings

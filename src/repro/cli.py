@@ -601,30 +601,27 @@ def _cmd_predict(args) -> int:
 
 def _cmd_analyze(args) -> int:
     # Imported here so the plain simulate/experiment paths never pay for
-    # the analysis package.
-    from repro.analysis import (
-        Baseline,
-        LintConfig,
-        VerificationError,
-        default_baseline_path,
+    # the lint pass or the smoke grid.
+    from repro.analysis.baseline import Baseline, default_baseline_path
+    from repro.analysis.invariants import VerificationError
+    from repro.analysis.lint import (
+        LINT_RULES,
         findings_to_payload,
         lint_package,
         lint_paths,
         render_findings,
-        run_verified_smoke,
         select_rules,
     )
+    from repro.analysis.smoke import run_verified_smoke
 
     exit_code = 0
     ran_anything = False
 
     if args.self_lint or args.lint:
-        lint_config = LintConfig()
+        rules = frozenset(LINT_RULES)
         if args.rules is not None:
             try:
-                lint_config = LintConfig(
-                    rules=select_rules(args.rules.split(","))
-                )
+                rules = select_rules(args.rules.split(","))
             except ValueError as exc:
                 print(f"--rules: {exc}", file=sys.stderr)
                 return 2
@@ -641,18 +638,19 @@ def _cmd_analyze(args) -> int:
         # An entry for a rule that is not enabled this run is dormant,
         # not stale: only entries the selected rules could have used
         # count toward unused-baseline detection.
-        enabled = set(lint_config.rules)
         baseline = Baseline(
-            entries=tuple(
-                e for e in baseline.entries if e.rule in enabled
-            ),
+            entries=tuple(e for e in baseline.entries if e.rule in rules),
             source=baseline.source,
         )
         findings = []
         if args.self_lint:
-            findings.extend(lint_package(lint_config))
+            findings.extend(lint_package(rules=rules))
         if args.lint:
-            findings.extend(lint_paths(args.lint, config=lint_config))
+            try:
+                findings.extend(lint_paths(args.lint, rules=rules))
+            except ValueError as exc:
+                print(f"--lint: {exc}", file=sys.stderr)
+                return 2
         result = baseline.apply(findings)
         ran_anything = True
         if args.json:

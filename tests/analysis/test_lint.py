@@ -3,21 +3,27 @@ clean code — including the repo's own sources."""
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.analysis import lint
+from repro.analysis.baseline import Baseline, default_baseline_path
 from repro.analysis.lint import (
     LINT_RULES,
-    Baseline,
-    LintConfig,
-    default_baseline_path,
     lint_file,
     lint_package,
     lint_paths,
     lint_source,
     render_findings,
     select_rules,
+)
+from tests.analysis.test_pinned_findings import AS_SERVE, AS_SIM, REAL_PATH
+from tests.analysis.test_rules_protocol import (
+    PROTOCOL,
+    SERVER,
+    write_package,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -154,19 +160,18 @@ class TestInfrastructure:
         assert rules_of(findings) == {"RPR000"}
 
     def test_rule_filtering(self):
-        config = LintConfig(rules=frozenset({"RPR002"}))
         findings = lint_source(
             "import random, time\nrandom.random()\ntime.time()\n",
-            config=config,
+            rules=frozenset({"RPR002"}),
         )
         assert rules_of(findings) == {"RPR002"}
 
-    def test_lint_paths_walks_directories(self):
-        # The default config excludes the fixture tree (it is scanned as
-        # part of tests/ by --self); walking it explicitly needs the
-        # exclusion lifted.
+    def test_lint_paths_walks_directories(self, monkeypatch):
+        # Directory walks skip the fixture tree (it is scanned as part
+        # of tests/ by --self); walking it needs the exclusion lifted.
         assert lint_paths([FIXTURES]) == []
-        findings = lint_paths([FIXTURES], config=LintConfig(exclude_globs=()))
+        monkeypatch.setattr(lint, "EXCLUDE_GLOBS", ())
+        findings = lint_paths([FIXTURES])
         # RPR003 / monotonic-RPR002 are absent by design: walked on
         # their real path the fixtures carry the tests.* exemptions.
         assert {"RPR001", "RPR002", "RPR004", "RPR101", "RPR102"} <= rules_of(
@@ -200,6 +205,20 @@ class TestInfrastructure:
         }
         assert all(LINT_RULES.values())
 
+    def test_every_rule_id_is_well_formed_and_fires(self, tmp_path):
+        assert all(re.fullmatch(r"RPR\d{3}", rule) for rule in LINT_RULES)
+        fired = {row[0] for row in (*REAL_PATH, *AS_SERVE, *AS_SIM)}
+        protocol = PROTOCOL.replace(
+            '"ping", "shutdown"', '"ping", "shutdown", "drain"'
+        ).replace('"unknown-op"', '"unknown-op", "dead-code"')
+        server = SERVER + (
+            '\ndef extra(error_payload):\n'
+            '    return error_payload("surprise", "undeclared")\n'
+        )
+        package = write_package(tmp_path, protocol, server)
+        fired |= {f.rule for f in lint_paths([package])}
+        assert fired == set(LINT_RULES) - {"RPR000"}
+
 
 class TestRuleSelection:
     def test_exact_ids(self):
@@ -220,10 +239,9 @@ class TestRuleSelection:
             select_rules(["RPR9"])
 
     def test_selection_disables_other_rules(self):
-        config = LintConfig(rules=select_rules(["RPR002"]))
         findings = lint_source(
             "import random, time\nrandom.random()\ntime.time()\n",
-            config=config,
+            rules=select_rules(["RPR002"]),
         )
         assert rules_of(findings) == {"RPR002"}
 
@@ -329,9 +347,8 @@ class TestRngTaint:
 
 
 class TestMonotonicAllowlist:
-    """Satellite #2: the RPR002 allowlist moved into LintConfig; the
-    original hardcoded behaviour for sim/sched/core must be preserved
-    and the serve extensions must be config, not special cases."""
+    """Monotonic timers stay banned in sim/sched/core and serve logic,
+    and allowed in the timing layers and the live wall clock."""
 
     SOURCE = "import time\nwall = time.perf_counter()\n"
 
@@ -353,14 +370,6 @@ class TestMonotonicAllowlist:
         findings = lint_source(self.SOURCE, module=module)
         assert lines_of(findings, "RPR002") == []
 
-    def test_allowlist_is_configurable(self):
-        config = LintConfig(monotonic_allowed_prefixes=("my.pkg",))
-        assert lint_source(self.SOURCE, module="my.pkg.timer",
-                           config=config) == []
-        assert rules_of(
-            lint_source(self.SOURCE, module="repro.cli", config=config)
-        ) == {"RPR002"}
-
 
 class TestSelfLint:
     def test_repro_package_is_clean_modulo_baseline(self):
@@ -373,15 +382,13 @@ class TestSelfLint:
         assert result.kept == [], render_findings(result.kept)
         assert result.unused == []
 
-    def test_lint_package_scans_the_test_suite(self):
-        # tests/ is part of the scanned tree (satellite #3): the same
-        # findings vanish when it is excluded only because the tree is
-        # clean — prove the scan actually visits it by planting the
-        # fixture exclusion's absence.
-        findings_with = lint_package(LintConfig(exclude_globs=()))
-        findings_without = lint_package(
-            LintConfig(exclude_globs=()), include_tests=False
-        )
+    def test_lint_package_scans_the_test_suite(self, monkeypatch):
+        # tests/ is part of the scanned tree: the same findings vanish
+        # when it is excluded only because the tree is clean — prove the
+        # scan actually visits it by lifting the fixture exclusion.
+        monkeypatch.setattr(lint, "EXCLUDE_GLOBS", ())
+        findings_with = lint_package()
+        findings_without = lint_package(include_tests=False)
         fixture_findings = {
             f.rule for f in findings_with
             if "tests/analysis/fixtures" in str(f.path)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import shutil
 from pathlib import Path
 
-from repro.analysis.lint import LintConfig, lint_file, lint_paths, lint_source
+from repro.analysis.lint import lint_file, lint_paths, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SERVE_SRC = Path(__file__).parents[2] / "src" / "repro" / "serve"
@@ -97,17 +97,6 @@ class TestSharedStateRule:
             FIXTURES / "bad_shared_state.py", module="repro.sim.fixture"
         )
         assert findings == []
-
-    def test_dispatcher_set_is_configurable(self):
-        source = (
-            "async def pump(engine, queue):\n"
-            "    engine.admit(await queue.get())\n"
-        )
-        config = LintConfig(dispatcher_functions=frozenset({"pump"}))
-        assert lint_source(source, module=self.MODULE, config=config) == []
-        assert rules_of(lint_source(source, module=self.MODULE)) == {
-            "RPR103"
-        }
 
 
 class TestServeClockRule:

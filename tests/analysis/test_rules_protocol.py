@@ -9,10 +9,10 @@ import shutil
 import textwrap
 from pathlib import Path
 
-from repro.analysis.lint import LintConfig, lint_paths
+from repro.analysis.lint import LINT_RULES, lint_paths
 from repro.analysis.rules_protocol import (
-    ProtocolExhaustivenessRule,
     extract_surface,
+    is_protocol_package,
 )
 
 SERVE_SRC = Path(__file__).parents[2] / "src" / "repro" / "serve"
@@ -57,10 +57,9 @@ def write_package(tmp_path, protocol=PROTOCOL, server=SERVER, client=CLIENT):
     return tmp_path
 
 
-def protocol_findings(tmp_path, rules=None):
-    config = LintConfig() if rules is None else LintConfig(rules=rules)
+def protocol_findings(tmp_path, rules=frozenset(LINT_RULES)):
     return [
-        f for f in lint_paths([tmp_path], config=config)
+        f for f in lint_paths([tmp_path], rules=rules)
         if f.rule.startswith("RPR2")
     ]
 
@@ -79,9 +78,8 @@ class TestSurfaceExtraction:
         assert surface.declared_ops.keys() <= surface.client_ops
 
     def test_rule_applies_only_to_protocol_packages(self):
-        rule = ProtocolExhaustivenessRule()
-        assert rule.applies_to(SERVE_SRC)
-        assert not rule.applies_to(SERVE_SRC.parent)
+        assert is_protocol_package(SERVE_SRC)
+        assert not is_protocol_package(SERVE_SRC.parent)
 
 
 class TestProtocolChecks:
@@ -143,6 +141,11 @@ class TestProtocolChecks:
             for f in protocol_findings(
                 package, rules=frozenset({"RPR201", "RPR202"})
             )
+        ] == ["RPR202"]
+        # RPR202 alone still runs the check.
+        assert [
+            f.rule
+            for f in protocol_findings(package, rules=frozenset({"RPR202"}))
         ] == ["RPR202"]
 
 

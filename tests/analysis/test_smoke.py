@@ -134,6 +134,38 @@ class TestAnalyzeCli:
         assert main(["analyze", "--self", "--rules", "RPR9"]) == 2
         assert "unknown rule selector" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("selector", ["", " , "])
+    def test_empty_rules_selection_is_an_error(self, capsys, selector):
+        from tests.analysis.test_lint import FIXTURES
+
+        code = main([
+            "analyze", "--lint", str(FIXTURES / "bad_wall_clock.py"),
+            "--rules", selector,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "no rule selected" in captured.err
+
+    @pytest.mark.parametrize(
+        ("name", "reason"),
+        [
+            ("does_not_exist", "no such file or directory"),
+            ("nope.py", "no such file or directory"),
+            ("README.md", "not a .py file or a directory"),
+        ],
+    )
+    def test_lint_path_that_cannot_be_linted_is_an_error(
+        self, capsys, tmp_path, name, reason
+    ):
+        (tmp_path / "README.md").write_text("# not python\n")
+        path = tmp_path / name
+        assert main(["analyze", "--lint", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"--lint: {path}: {reason}\n"
+
     def test_unused_baseline_entry_fails(self, capsys, tmp_path):
         from tests.analysis.test_lint import FIXTURES
 

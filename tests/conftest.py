@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.model.platform import Platform
 from repro.model.request import Request
@@ -15,6 +16,12 @@ from repro.model.task import TaskType
 from repro.workload.taskgen import TaskSetConfig, generate_task_set
 from repro.workload.trace import Trace
 from repro.workload.tracegen import DeadlineGroup, TraceConfig, generate_trace
+
+# Property tests draw the same examples on every run by default; the
+# slow lane explores with fresh draws via --hypothesis-profile=random.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.register_profile("random", derandomize=False)
+settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -83,6 +83,29 @@ class TestPublicApi:
             [sys.executable, "-c", probe], check=True, timeout=120
         )
 
+    def test_simulate_does_not_load_the_lint_pass(self):
+        # ``import repro`` pulls in the schedule verifier; the AST lint
+        # pass behind ``repro analyze`` stays unloaded.
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys\n"
+            "from repro import (DeadlineGroup, Platform, TraceConfig,\n"
+            "    generate_task_set, generate_trace, simulate)\n"
+            "platform = Platform.cpu_gpu(n_cpus=5, n_gpus=1)\n"
+            "trace = generate_trace(generate_task_set(platform),\n"
+            "    TraceConfig(group=DeadlineGroup.VT, n_requests=30))\n"
+            "simulate(trace, platform, 'heuristic', 'oracle')\n"
+            "loaded = sorted(name for name in sys.modules if name in (\n"
+            "    'repro.analysis.lint', 'repro.analysis.engine')\n"
+            "    or name.startswith('repro.analysis.rules_'))\n"
+            "assert not loaded, loaded\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", probe], check=True, timeout=120
+        )
+
     def test_serve_classes_importable_from_top_level(self):
         from repro import (
             AdmissionServer,
