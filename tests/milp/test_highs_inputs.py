@@ -26,11 +26,13 @@ import numpy as np
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "highs-inputs-v1.json"
 
 #: The options every solve must pass to HiGHS.  HiGHS's own default gap
-#: is 1e-4, so the gap entry is part of the contract.
+#: is 1e-4, so the gap entry is part of the contract, and so is the
+#: feasibility-jump switch (on by default, a fixed cost on every model).
 HIGHS_OPTIONS = {
     "mip_rel_gap": 0.0,
     "presolve": False,
     "mip_feasibility_tolerance": 1e-9,
+    "mip_heuristic_run_feasibility_jump": False,
 }
 
 
