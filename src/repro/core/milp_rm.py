@@ -46,7 +46,7 @@ from repro.core.base import (
     mapping_feasible,
 )
 from repro.core.context import PlannedTask, RMContext
-from repro.milp.model import Model
+from repro.milp.model import Model, SolveStatus
 from repro.model import EPS
 
 __all__ = ["MilpResourceManager", "MilpValidationError"]
@@ -59,24 +59,16 @@ rare affected activations."""
 
 
 class MilpValidationError(RuntimeError):
-    """The solver returned a mapping the ground-truth timeline rejects."""
+    """The solver gave no answer the RM can act on: a status that is
+    neither optimal nor infeasible (a solver error, an unbounded model),
+    or a mapping the ground-truth timeline rejects."""
 
 
 class MilpResourceManager(MappingStrategy):
-    """Exact optimisation of one RM activation via MILP.
-
-    Parameters
-    ----------
-    backend:
-        ``"scipy"`` (HiGHS) or ``"bnb"`` (pure-Python branch-and-bound).
-    """
+    """Exact optimisation of one RM activation via MILP, solved by HiGHS
+    (:meth:`repro.milp.model.Model.solve`)."""
 
     name = "milp"
-
-    def __init__(self, backend: str = "scipy") -> None:
-        if backend not in ("scipy", "bnb"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
 
     def solve(self, context: RMContext) -> MappingDecision:
         """Build, solve and validate the activation MILP (eqs. (1)-(14))."""
@@ -147,10 +139,17 @@ class MilpResourceManager(MappingStrategy):
         # with a no-good cut and the model re-solved; cut mappings are
         # infeasible in the true semantics, so optimality is preserved.
         for repairs in range(_MAX_REPAIRS):
-            solution = model.solve(self.backend)
-            if not solution.optimal:
+            solution = model.solve()
+            if solution.status is SolveStatus.INFEASIBLE:
                 self._trace_solve(context, feasible=False, repairs=repairs)
                 return MappingDecision.infeasible()
+            if not solution.optimal:
+                # Neither a proof of infeasibility nor a mapping: say so
+                # rather than reject the arrival as if it were infeasible.
+                raise MilpValidationError(
+                    f"MILP solve ended {solution.status.name} "
+                    f"at t={context.time}"
+                )
 
             mapping: dict[int, int] = {}
             for task in tasks:
@@ -193,7 +192,7 @@ class MilpResourceManager(MappingStrategy):
             tracer.emit(
                 "milp-solve",
                 time=context.time,
-                detail=self.backend,
+                detail="scipy",
                 data=(
                     ("context_size", len(context.tasks)),
                     ("feasible", feasible),

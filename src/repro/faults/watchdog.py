@@ -1,14 +1,14 @@
 """A watchdog wrapping the primary mapping solver.
 
-Exact solvers are the fragile part of the RM: the MILP backend can hang
-on a pathological activation, the branch-and-bound search can blow its
-node budget, and an injected :class:`~repro.faults.plan.SolverFault`
-deliberately simulates both.  :class:`SolverWatchdog` keeps the
-admission protocol alive through all of it: any primary-solver fault —
-injected or real — degrades to the (deadline-aware, polynomial-time)
-fallback strategy instead of crashing the run, and every degradation is
-buffered for the simulator to attach to the
-:class:`~repro.sim.result.SimulationResult` as
+Exact solvers are the fragile part of the RM: HiGHS can hang on a
+pathological activation or end a solve without an answer (the MILP RM
+then raises rather than reject the arrival), and an injected
+:class:`~repro.faults.plan.SolverFault` deliberately simulates both.
+:class:`SolverWatchdog` keeps the admission protocol alive through all
+of it: any primary-solver fault — injected or real — degrades to the
+(deadline-aware, polynomial-time) fallback strategy instead of crashing
+the run, and every degradation is buffered for the simulator to attach
+to the :class:`~repro.sim.result.SimulationResult` as
 :class:`~repro.faults.events.DegradationEvent` records.
 
 Determinism: injected faults are resolved purely from the activation

@@ -1,6 +1,6 @@
 """MILP row store: variables, linear rows and a minimisation objective.
 
-A :class:`Model` holds a MILP in the form both backends read::
+A :class:`Model` holds a MILP as rows::
 
     m = Model("rm")
     x = m.add_binary("x[1,2]")          # column index
@@ -10,9 +10,9 @@ A :class:`Model` holds a MILP in the form both backends read::
     solution = m.solve()
 
 :meth:`Model.arrays` assembles the rows into the one array form
-(:class:`Arrays`).  Solving dispatches to a backend: scipy/HiGHS by
-default, pure-Python branch-and-bound as the cross-check.  Neither is
-imported until a model is solved, so this module loads no scipy.
+(:class:`Arrays`), and :meth:`Model.solve` hands that to HiGHS
+(:mod:`repro.milp.scipy_backend`).  The solver module is imported on
+the first solve, so this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -143,10 +143,10 @@ class Model:
     ) -> Row:
         """Add the row ``lo <= sum(coeffs[k] * x[cols[k]]) <= hi``.
 
-        A column may appear once per row: the scipy backend would sum a
-        repeated column's coefficients, while branch-and-bound's dense
-        fill would keep only the last, so the backends would read the
-        row differently.
+        A column may appear once per row: HiGHS would sum a repeated
+        column's coefficients, while a dense fill (the test reference
+        branch-and-bound's) would keep only the last, so the two would
+        read the row differently.
         """
         row = Row(tuple(cols), tuple(coeffs), lo, hi, name)
         if len(row.cols) != len(row.coeffs):
@@ -170,7 +170,7 @@ class Model:
         self.objective = dict(objective)
 
     def arrays(self) -> Arrays:
-        """The model in the one array form both backends solve."""
+        """The model in the one array form that is solved."""
         c = np.zeros(len(self.variables))
         for col, coeff in self.objective.items():
             c[col] = coeff
@@ -196,17 +196,11 @@ class Model:
             ),
         )
 
-    def solve(self, backend: str = "scipy", **options) -> Solution:
-        """Solve with the named backend (``"scipy"`` or ``"bnb"``)."""
-        if backend == "scipy":
-            from repro.milp.scipy_backend import solve_with_scipy
+    def solve(self) -> Solution:
+        """Solve to optimality with HiGHS."""
+        from repro.milp.scipy_backend import solve_with_scipy
 
-            return solve_with_scipy(self, **options)
-        if backend == "bnb":
-            from repro.milp.bnb import solve_with_bnb
-
-            return solve_with_bnb(self, **options)
-        raise ValueError(f"unknown backend {backend!r}")
+        return solve_with_scipy(self)
 
     def __repr__(self) -> str:
         return (

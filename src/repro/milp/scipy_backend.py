@@ -8,8 +8,9 @@ Every call is a fresh HiGHS solve with the same fixed options (below):
 no solver object, warm start or cache outlives a call, so an answer
 never depends on what the process solved before.  The options keep
 HiGHS exact on the resource manager's small big-M models (zero gap,
-tight integrality tolerance, presolve off by default) and skip the one
-heuristic that costs more than the rest of the solve (feasibility jump).
+tight integrality tolerance, presolve off) and skip the one heuristic
+that costs more than the rest of the solve (feasibility jump).  None of
+them is a parameter: this is the one MILP solve path.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ __all__ = ["solve_with_scipy"]
 _MIP_REL_GAP = 0.0
 """Prove optimality: HiGHS's default relative gap (1e-4) may stop at a
 mapping that is not the cheapest."""
+
+_PRESOLVE = False
+"""HiGHS presolve.  Off: on big-M models with near-integral right-hand
+sides (exactly what the RM formulation produces) the bundled HiGHS
+presolve can return sub-optimal "optimal" solutions; see
+tests/milp/test_regressions.py::TestPresolveRegression."""
 
 _MIP_FEASIBILITY_JUMP = False
 """Skip HiGHS's feasibility-jump primal heuristic.  HiGHS runs it before
@@ -50,18 +57,8 @@ constraint the schedule actually violates (observed as ~1e-3 deadline
 misses before tightening)."""
 
 
-def solve_with_scipy(model: Model, *, presolve: bool = False) -> Solution:
-    """Solve ``model`` to optimality with HiGHS.
-
-    Parameters
-    ----------
-    presolve:
-        HiGHS presolve.  Disabled by default: on big-M models with
-        near-integral right-hand sides (exactly what the RM formulation
-        produces) the bundled HiGHS presolve can return sub-optimal
-        "optimal" solutions; see tests/milp/test_regressions.py::
-        TestPresolveRegression.
-    """
+def solve_with_scipy(model: Model) -> Solution:
+    """Solve ``model`` to optimality with HiGHS."""
     if not model.variables:
         return Solution(SolveStatus.OPTIMAL, 0.0, [])
     arrays = model.arrays()
@@ -71,7 +68,7 @@ def solve_with_scipy(model: Model, *, presolve: bool = False) -> Solution:
         constraints.append(LinearConstraint(matrix, arrays.lo, arrays.hi))
     options = {
         "mip_rel_gap": _MIP_REL_GAP,
-        "presolve": presolve,
+        "presolve": _PRESOLVE,
         # Forwarded verbatim to HiGHS (scipy warns about unknown keys).
         "mip_feasibility_tolerance": _MIP_FEASIBILITY_TOLERANCE,
         "mip_heuristic_run_feasibility_jump": _MIP_FEASIBILITY_JUMP,
@@ -106,7 +103,4 @@ def solve_with_scipy(model: Model, *, presolve: bool = False) -> Solution:
     if result.status == 3:
         return Solution(SolveStatus.UNBOUNDED, -math.inf, [])
     # status 1 = iteration/time limit, 4 = other error
-    if result.x is not None:
-        values = [float(v) for v in result.x]
-        return Solution(SolveStatus.ERROR, float(arrays.c @ result.x), values)
     return Solution(SolveStatus.ERROR, math.nan, [])

@@ -22,6 +22,7 @@ from repro.core.heuristic import HeuristicResourceManager
 from repro.core.milp_rm import MilpResourceManager
 from repro.model.platform import Platform
 from repro.model.task import TaskType
+from tests.milp.reference_bnb import solving_with_bnb
 
 PLATFORM = Platform.cpu_gpu(2, 1)
 
@@ -189,8 +190,9 @@ def test_heuristic_sound_and_never_beats_optimum(context):
 @given(random_context())
 @settings(max_examples=60, deadline=None)
 def test_bnb_backend_agrees_with_scipy(context):
-    scipy_rm = MilpResourceManager(backend="scipy").solve(context)
-    bnb_rm = MilpResourceManager(backend="bnb").solve(context)
+    scipy_rm = MilpResourceManager().solve(context)
+    with solving_with_bnb():
+        bnb_rm = MilpResourceManager().solve(context)
     assert scipy_rm.feasible == bnb_rm.feasible
     if scipy_rm.feasible:
         assert scipy_rm.energy == pytest.approx(bnb_rm.energy, abs=1e-5)

@@ -18,9 +18,9 @@ def capture_model(context):
     captured = {}
     original = Model.solve
 
-    def spy(self, backend="scipy", **kwargs):
+    def spy(self):
         captured["model"] = self
-        return original(self, backend, **kwargs)
+        return original(self)
 
     Model.solve = spy
     try:

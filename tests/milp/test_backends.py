@@ -1,5 +1,6 @@
-"""Tests for the scipy/HiGHS backend, the branch-and-bound solver, and
-their agreement on random MILPs (the cross-validation property).
+"""Tests for the scipy/HiGHS solve, the test reference branch-and-bound
+solver (tests/milp/reference_bnb.py), and their agreement on random
+MILPs (the cross-validation property).
 
 Models only minimise, so a maximisation minimises the negated
 objective and the tests negate the optimum back."""
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning
 
 from repro.milp import scipy_backend
-from repro.milp.bnb import solve_with_bnb
 from repro.milp.model import Model, SolveStatus
 from repro.milp.scipy_backend import solve_with_scipy
+from tests.milp.reference_bnb import solve_with_bnb
 
 SCIPY_VERSION = tuple(int(part) for part in scipy.__version__.split(".")[:2])
 

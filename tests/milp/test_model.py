@@ -94,7 +94,8 @@ class TestSolve:
         assert sol.objective == 0.0
 
     def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
+        # HiGHS is the one solve path: solve() takes no backend at all.
+        with pytest.raises(TypeError):
             Model().solve("gurobi")
 
     def test_binary_helper_on_solution(self):

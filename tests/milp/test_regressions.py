@@ -1,17 +1,22 @@
 """Regression tests for solver-level bugs found by the property suite."""
 
+import warnings
+
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_matrix
 
 from repro.milp.model import Model
 from repro.milp.scipy_backend import solve_with_scipy
 from repro.sched.timeline import FutureJob, ReadyJob, build_timeline
+from tests.milp.test_highs_inputs import HIGHS_OPTIONS
 
 
 class TestPresolveRegression:
     """The bundled HiGHS presolve returned a sub-optimal 'optimal' on a
     big-M model with near-integral right-hand sides (rhs 13.9999999 with
-    integer 13 coefficients).  The backend therefore disables presolve
-    by default."""
+    integer 13 coefficients).  The solve path therefore keeps presolve
+    off."""
 
     @staticmethod
     def build_model():
@@ -44,9 +49,22 @@ class TestPresolveRegression:
 
     def test_presolve_on_reproduces_the_bug_or_is_fixed(self):
         """With presolve forced on, the bundled HiGHS may return 4.0; if
-        a future scipy upgrade fixes it, this records the improvement."""
-        solution = solve_with_scipy(self.build_model(), presolve=True)
-        assert solution.objective in (
+        a future scipy upgrade fixes it, this records the improvement.
+        The solve path has no presolve switch, so this hands the model's
+        arrays to HiGHS itself, with the solve path's other options."""
+        arrays = self.build_model().arrays()
+        matrix = csr_matrix(arrays.a, shape=(len(arrays.lo), len(arrays.c)))
+        with warnings.catch_warnings():
+            # scipy warns that the HiGHS-only keys pass through verbatim.
+            warnings.simplefilter("ignore")
+            result = milp(
+                arrays.c,
+                constraints=[LinearConstraint(matrix, arrays.lo, arrays.hi)],
+                bounds=Bounds(arrays.lb, arrays.ub),
+                integrality=arrays.integrality,
+                options={**HIGHS_OPTIONS, "presolve": True},
+            )
+        assert result.fun in (
             pytest.approx(3.0, abs=1e-6),
             pytest.approx(4.0, abs=1e-6),
         )
@@ -169,13 +187,74 @@ class TestArrivalAtFeasibilityTolerance:
         from repro.core.context import PREDICTED_JOB_ID
         from repro.core.exact import ExactResourceManager
         from repro.core.milp_rm import MilpResourceManager
+        from tests.milp.reference_bnb import solving_with_bnb
 
         context = self.build_context(arrival)
         assert mapping_feasible(context, {0: 2, PREDICTED_JOB_ID: 0})
         exact = ExactResourceManager().solve(context)
         milp = MilpResourceManager().solve(context)
-        bnb = MilpResourceManager(backend="bnb").solve(context)
+        with solving_with_bnb():
+            bnb = MilpResourceManager().solve(context)
         assert exact.feasible and milp.feasible and bnb.feasible
         assert exact.energy == pytest.approx(2.0)
         assert milp.energy == pytest.approx(2.0)
         assert bnb.energy == pytest.approx(2.0)
+
+
+class TestUnprovenSolveIsNotAReject:
+    """A HiGHS error (status 1 or 4) or an unbounded model proves
+    nothing about the activation, so the MILP RM used to reject the
+    arrival on a status that does not say the context is infeasible.
+    Only INFEASIBLE rejects; any other non-optimal status raises, and
+    the watchdog turns that into its fallback's decision."""
+
+    @staticmethod
+    def context():
+        from repro.core.context import PlannedTask, RMContext
+        from repro.model.platform import Platform
+        from tests.conftest import make_task
+
+        task = PlannedTask(job_id=0, task=make_task(), absolute_deadline=30.0)
+        return RMContext(
+            time=7.5, platform=Platform.cpu_gpu(2, 1), tasks=(task,)
+        )
+
+    @staticmethod
+    def unproven(monkeypatch, status):
+        import math
+
+        from repro.milp import scipy_backend
+        from repro.milp.model import Solution
+
+        def solve(model):
+            return Solution(status, math.nan, [])
+
+        monkeypatch.setattr(scipy_backend, "solve_with_scipy", solve)
+
+    @pytest.mark.parametrize("status", ["ERROR", "UNBOUNDED"])
+    def test_milp_rm_raises(self, monkeypatch, status):
+        from repro.core.milp_rm import MilpResourceManager, MilpValidationError
+        from repro.milp.model import SolveStatus
+
+        self.unproven(monkeypatch, SolveStatus[status])
+        with pytest.raises(MilpValidationError, match=f"{status}.*t=7.5"):
+            MilpResourceManager().solve(self.context())
+
+    @pytest.mark.parametrize("status", ["ERROR", "UNBOUNDED"])
+    def test_watchdog_falls_back(self, monkeypatch, status):
+        from repro.core.heuristic import HeuristicResourceManager
+        from repro.core.milp_rm import MilpResourceManager
+        from repro.faults.watchdog import SolverWatchdog
+        from repro.milp.model import SolveStatus
+
+        context = self.context()
+        expected = HeuristicResourceManager().solve(context)
+        assert expected.feasible
+        self.unproven(monkeypatch, SolveStatus[status])
+        watchdog = SolverWatchdog(
+            MilpResourceManager(), HeuristicResourceManager()
+        )
+        assert watchdog.solve(context) == expected
+        events = watchdog.drain_events()
+        assert [kind for kind, _ in events] == ["solver-exception"]
+        assert "MilpValidationError" in events[0][1]

@@ -10,6 +10,8 @@ then B, then A again; both A passes must equal a fresh, verified run.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro import simulate
@@ -18,6 +20,9 @@ from repro.experiments.common import standard_platform, standard_traces
 from repro.experiments.config import HarnessScale
 from repro.registry import resolve_predictor
 from repro.workload.tracegen import DeadlineGroup
+from tests.milp.reference_bnb import solving_with_bnb
+
+SOLVERS = {"scipy": nullcontext, "bnb": solving_with_bnb}
 
 
 def _fingerprint(result) -> tuple:
@@ -30,32 +35,33 @@ def _fingerprint(result) -> tuple:
 
 @pytest.mark.parametrize("backend", ["scipy", "bnb"])
 def test_milp_decisions_do_not_depend_on_solve_history(backend):
-    platform = standard_platform()
-    a = standard_traces(DeadlineGroup.VT, HarnessScale(2, 12, master_seed=0))
-    b = standard_traces(DeadlineGroup.VT, HarnessScale(2, 12, master_seed=3))
-    strategy = MilpResourceManager(backend)
-    predictor = resolve_predictor("oracle")
+    with SOLVERS[backend]():
+        platform = standard_platform()
+        a = standard_traces(DeadlineGroup.VT, HarnessScale(2, 12, master_seed=0))
+        b = standard_traces(DeadlineGroup.VT, HarnessScale(2, 12, master_seed=3))
+        strategy = MilpResourceManager()
+        predictor = resolve_predictor("oracle")
 
-    def replay(traces):
-        return [
-            _fingerprint(simulate(trace, platform, strategy, predictor))
-            for trace in traces
-        ]
+        def replay(traces):
+            return [
+                _fingerprint(simulate(trace, platform, strategy, predictor))
+                for trace in traces
+            ]
 
-    first = replay(a)
-    replay(b)
-    again = replay(a)
-    fresh = [
-        _fingerprint(
-            simulate(
-                trace,
-                platform,
-                MilpResourceManager(backend),
-                "oracle",
-                verify=True,
+        first = replay(a)
+        replay(b)
+        again = replay(a)
+        fresh = [
+            _fingerprint(
+                simulate(
+                    trace,
+                    platform,
+                    MilpResourceManager(),
+                    "oracle",
+                    verify=True,
+                )
             )
-        )
-        for trace in a
-    ]
-    assert first == again == fresh
-    assert any(accepted for accepted, _, _ in fresh)
+            for trace in a
+        ]
+        assert first == again == fresh
+        assert any(accepted for accepted, _, _ in fresh)
