@@ -22,7 +22,8 @@ least one test proving it fires.
 
 The package re-exports only the verifier, so ``import repro`` (which
 imports it) never loads the lint pass; import
-:mod:`repro.analysis.lint` and :mod:`repro.analysis.smoke` directly.
+:mod:`repro.analysis.lint` directly.  The verified smoke grid lives in
+:mod:`repro.faults.smoke`.
 """
 
 from repro.analysis.invariants import (

@@ -10,9 +10,8 @@ Python::
     python -m repro evaluate traces/vt_000.json --predictor learned
     python -m repro predict --frontier --csv frontier.csv
     python -m repro analyze --self          # lint the repro package
-    python -m repro analyze --smoke         # verified smoke simulation
     python -m repro analyze traces/vt_000.json --strategy milp
-    python -m repro faults --smoke          # verified fault-injection grid
+    python -m repro faults --smoke          # verified grid, no faults + faults
     python -m repro faults --sweep          # fault-sensitivity experiment
     python -m repro obs traces/vt_000.json --export-chrome trace.json \
         --summary                           # structured tracing + metrics
@@ -41,6 +40,7 @@ from repro.registry import (
     resolve_strategy,
     strategy_names,
 )
+from repro.sim.result import SimulationResult
 from repro.sim.simulator import SimulationConfig, simulate
 from repro.model.platform import Platform
 from repro.predict.metrics import evaluate_predictor
@@ -73,6 +73,43 @@ def _cli_predictor(name: str, accuracy: float, seed: int):
     return resolve_predictor(name)
 
 
+def _add_replay_args(parser: argparse.ArgumentParser) -> None:
+    """The platform/RM flags of the commands that replay one trace."""
+    parser.add_argument("--cpus", type=int, default=5)
+    parser.add_argument("--gpus", type=int, default=1)
+    parser.add_argument(
+        "--strategy", choices=strategy_names(), default="heuristic"
+    )
+    parser.add_argument(
+        "--predictor", choices=predictor_names(), default="off"
+    )
+    parser.add_argument("--accuracy", type=float, default=0.75,
+                        help="accuracy level for the noise predictors")
+    parser.add_argument("--overhead", type=float, default=0.0,
+                        help="prediction overhead (absolute time units)")
+    parser.add_argument("--lookahead", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _replay(args, **config) -> tuple[Trace, Platform, SimulationResult]:
+    """Replay ``args.trace`` as the replay flags say; ``config`` adds
+    the calling command's own :class:`SimulationConfig` fields."""
+    trace = Trace.load(args.trace)
+    platform = Platform.cpu_gpu(args.cpus, args.gpus)
+    result = simulate(
+        trace,
+        platform,
+        resolve_strategy(args.strategy),
+        _cli_predictor(args.predictor, args.accuracy, args.seed),
+        SimulationConfig(
+            prediction_overhead=args.overhead,
+            lookahead=args.lookahead,
+            **config,
+        ),
+    )
+    return trace, platform, result
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for shell-completion tools
     and tests)."""
@@ -98,20 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("simulate", help="replay a trace through an RM")
     run.add_argument("trace", type=Path, help="trace JSON file")
-    run.add_argument("--cpus", type=int, default=5)
-    run.add_argument("--gpus", type=int, default=1)
-    run.add_argument(
-        "--strategy", choices=strategy_names(), default="heuristic"
-    )
-    run.add_argument(
-        "--predictor", choices=predictor_names(), default="off"
-    )
-    run.add_argument("--accuracy", type=float, default=0.75,
-                     help="accuracy level for the noise predictors")
-    run.add_argument("--overhead", type=float, default=0.0,
-                     help="prediction overhead (absolute time units)")
-    run.add_argument("--lookahead", type=int, default=1)
-    run.add_argument("--seed", type=int, default=0)
+    _add_replay_args(run)
     run.add_argument("--json", action="store_true",
                      help="emit the result summary as JSON")
 
@@ -177,9 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="static lint / schedule-invariant verification",
         description=(
             "Static analysis entry point: lint the repo's own sources "
-            "(--self), lint arbitrary files (--lint), run a verified "
-            "smoke simulation (--smoke), or replay one trace with the "
-            "schedule-invariant verifier armed (positional TRACE).  "
+            "(--self), lint arbitrary files (--lint), or replay one "
+            "trace with the schedule-invariant verifier armed "
+            "(positional TRACE).  The verified smoke grid is "
+            "'repro faults --smoke'.  "
             "Exits 1 on any lint finding or invariant violation."
         ),
     )
@@ -207,28 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(with --self, defaults to the repo's analysis-baseline.txt "
         "when present).  Unused entries fail the run.",
     )
-    an.add_argument(
-        "--smoke", action="store_true",
-        help="run the verified fig2-shaped smoke grid",
-    )
-    an.add_argument("--traces", type=int, default=2,
-                    help="smoke grid: traces per cell")
-    an.add_argument("--requests", type=int, default=40,
-                    help="smoke grid: requests per trace")
-    an.add_argument("--group", choices=["VT", "LT"], default="VT",
-                    help="smoke grid: deadline group")
-    an.add_argument("--cpus", type=int, default=5)
-    an.add_argument("--gpus", type=int, default=1)
-    an.add_argument(
-        "--strategy", choices=strategy_names(), default="heuristic"
-    )
-    an.add_argument(
-        "--predictor", choices=predictor_names(), default="off"
-    )
-    an.add_argument("--accuracy", type=float, default=0.75)
-    an.add_argument("--overhead", type=float, default=0.0)
-    an.add_argument("--lookahead", type=int, default=1)
-    an.add_argument("--seed", type=int, default=0)
+    _add_replay_args(an)
     an.add_argument("--json", action="store_true",
                     help="emit findings / the verification report as JSON")
 
@@ -237,9 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault injection: verified smoke grid / sensitivity sweep",
         description=(
             "Deterministic fault injection (see repro.faults): --smoke "
-            "runs canonical fault scenarios (outages, predictor faults, "
-            "solver faults) with the fault-aware schedule verifier armed "
-            "and exits 1 on any violation; --sweep measures how "
+            "runs a no-fault scenario and canonical fault scenarios "
+            "(outages, predictor faults, solver faults) with the "
+            "fault-aware schedule verifier armed and exits 1 on any "
+            "violation; --sweep measures how "
             "rejection/energy respond to increasing outage and "
             "predictor-failure rates."
         ),
@@ -287,20 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     obs.add_argument("trace", type=Path, help="trace JSON file")
-    obs.add_argument("--cpus", type=int, default=5)
-    obs.add_argument("--gpus", type=int, default=1)
-    obs.add_argument(
-        "--strategy", choices=strategy_names(), default="heuristic"
-    )
-    obs.add_argument(
-        "--predictor", choices=predictor_names(), default="off"
-    )
-    obs.add_argument("--accuracy", type=float, default=0.75,
-                     help="accuracy level for the noise predictors")
-    obs.add_argument("--overhead", type=float, default=0.0,
-                     help="prediction overhead (absolute time units)")
-    obs.add_argument("--lookahead", type=int, default=1)
-    obs.add_argument("--seed", type=int, default=0)
+    _add_replay_args(obs)
     obs.add_argument("--export-chrome", type=Path, default=None,
                      metavar="PATH",
                      help="write a Chrome trace_event JSON here")
@@ -451,14 +443,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    trace = Trace.load(args.trace)
-    platform = Platform.cpu_gpu(args.cpus, args.gpus)
-    strategy = resolve_strategy(args.strategy)
-    predictor = _cli_predictor(args.predictor, args.accuracy, args.seed)
-    config = SimulationConfig(
-        prediction_overhead=args.overhead, lookahead=args.lookahead
-    )
-    result = simulate(trace, platform, strategy, predictor, config)
+    trace, _, result = _replay(args)
     if args.json:
         print(json.dumps(result.summary(), indent=2))
         return 0
@@ -601,7 +586,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_analyze(args) -> int:
     # Imported here so the plain simulate/experiment paths never pay for
-    # the lint pass or the smoke grid.
+    # the lint pass.
     from repro.analysis.baseline import Baseline, default_baseline_path
     from repro.analysis.invariants import VerificationError
     from repro.analysis.lint import (
@@ -612,7 +597,6 @@ def _cmd_analyze(args) -> int:
         render_findings,
         select_rules,
     )
-    from repro.analysis.smoke import run_verified_smoke
 
     exit_code = 0
     ran_anything = False
@@ -677,60 +661,10 @@ def _cmd_analyze(args) -> int:
         if not result.ok:
             exit_code = 1
 
-    if args.smoke:
-        ran_anything = True
-        scale = HarnessScale(
-            n_traces=args.traces,
-            n_requests=args.requests,
-            master_seed=args.seed,
-        )
-        report = run_verified_smoke(
-            scale,
-            group=DeadlineGroup(args.group),
-            progress=None if args.json else (
-                lambda label: print(f"... {label}")
-            ),
-        )
-        if args.json:
-            print(json.dumps(
-                {
-                    "ok": report.ok,
-                    "n_cells": len(report.cells),
-                    "n_violations": report.n_violations,
-                    "cells": [
-                        {
-                            "label": cell.label,
-                            "trace_index": cell.trace_index,
-                            "ok": cell.ok,
-                            "n_spans": cell.n_spans,
-                            "violations": [
-                                v.render() for v in cell.violations
-                            ],
-                        }
-                        for cell in report.cells
-                    ],
-                },
-                indent=2,
-            ))
-        else:
-            print(report.render())
-        if not report.ok:
-            exit_code = 1
-
     if args.trace is not None:
         ran_anything = True
-        trace = Trace.load(args.trace)
-        platform = Platform.cpu_gpu(args.cpus, args.gpus)
-        strategy = resolve_strategy(args.strategy)
-        predictor = _cli_predictor(args.predictor, args.accuracy, args.seed)
-        config = SimulationConfig(
-            prediction_overhead=args.overhead,
-            lookahead=args.lookahead,
-            collect_records=True,
-            verify=True,
-        )
         try:
-            result = simulate(trace, platform, strategy, predictor, config)
+            _, _, result = _replay(args, collect_records=True, verify=True)
         except VerificationError as exc:
             report = exc.report
         else:
@@ -745,8 +679,7 @@ def _cmd_analyze(args) -> int:
 
     if not ran_anything:
         print(
-            "nothing to analyze: pass --self, --lint, --smoke, and/or a "
-            "trace file",
+            "nothing to analyze: pass --self, --lint, and/or a trace file",
             file=sys.stderr,
         )
         return 2
@@ -784,25 +717,7 @@ def _cmd_faults(args) -> int:
                 lambda label: print(f"... {label}")
             ),
         )
-        payload["smoke"] = {
-            "ok": report.ok,
-            "n_cells": len(report.cells),
-            "n_violations": report.n_violations,
-            "n_degradations": report.n_degradations,
-            "cells": [
-                {
-                    "label": cell.label,
-                    "scenario": cell.scenario,
-                    "trace_index": cell.trace_index,
-                    "ok": cell.ok,
-                    "n_spans": cell.n_spans,
-                    "n_degradations": cell.n_degradations,
-                    "n_evicted": cell.n_evicted,
-                    "violations": [v.render() for v in cell.violations],
-                }
-                for cell in report.cells
-            ],
-        }
+        payload["smoke"] = report.to_payload()
         if not args.json:
             print(report.render())
         if not report.ok:
@@ -847,17 +762,9 @@ def _cmd_obs(args) -> int:
         write_events_jsonl,
     )
 
-    trace = Trace.load(args.trace)
-    platform = Platform.cpu_gpu(args.cpus, args.gpus)
-    strategy = resolve_strategy(args.strategy)
-    predictor = _cli_predictor(args.predictor, args.accuracy, args.seed)
-    config = SimulationConfig(
-        prediction_overhead=args.overhead,
-        lookahead=args.lookahead,
-        collect_execution_log=True,
-        tracer=TraceOptions(),
+    trace, platform, result = _replay(
+        args, collect_execution_log=True, tracer=TraceOptions()
     )
-    result = simulate(trace, platform, strategy, predictor, config)
     assert result.metrics is not None  # TraceOptions() collects metrics
     digest = event_stream_digest(result.events)
     counts: dict[str, int] = {}

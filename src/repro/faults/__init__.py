@@ -13,9 +13,10 @@ The subsystem has four parts:
   wire/journal faults (response latency, NDJSON corruption, mid-frame
   connection drops, journal-write failures) the chaos harness drives
   against the live service;
-* :mod:`repro.faults.smoke` — the verified fault smoke grid behind
-  ``repro faults --smoke`` (imported lazily: it pulls in the simulator
-  and experiment layers).
+* :mod:`repro.faults.smoke` — the verified smoke grid behind
+  ``repro faults --smoke``: a ``no-faults`` scenario, then the canonical
+  fault scenarios (imported lazily: it pulls in the simulator and
+  experiment layers).
 """
 
 from repro.faults.events import DEGRADATION_KINDS, DegradationEvent

@@ -1,15 +1,17 @@
-"""Verified fault-injection smoke grid (``repro faults --smoke``).
+"""Verified smoke grid (``repro faults --smoke``).
 
-The zero-fault verifier (:mod:`repro.analysis.smoke`) proves schedules
-are correct when nothing goes wrong; this grid proves the *degradation
-paths* are.  A small {strategy} x {predictor} matrix runs under a set of
-canonical fault scenarios — transient and permanent resource outages,
-predictor fault windows, solver faults behind the watchdog, and a
-seeded generated mix — with ``SimulationConfig(verify=True)``, so every
-degraded schedule is re-checked against the fault-aware invariants
+A small {strategy} x {predictor} matrix — the shape of the paper's
+Fig. 2 — runs under a set of canonical scenarios with
+``SimulationConfig(verify=True)``, so every produced schedule is
+re-checked against the paper's constraints (eqs. (1)-(14)).  The first
+scenario, ``no-faults``, runs without a fault plan and proves schedules
+are correct when nothing goes wrong; the others prove the *degradation
+paths* are: transient and permanent resource outages, predictor fault
+windows, solver faults behind the watchdog, and a seeded generated mix,
+re-checked against the fault-aware invariants too
 (``down-resource``, ``predictor-fallback``, ``eviction-accounting``, see
-DESIGN.md §10) on top of the paper's constraints.  Violations are
-captured per cell instead of aborting the sweep.
+DESIGN.md §10).  Violations are captured per cell instead of aborting
+the sweep.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class FaultSmokeCell:
 
 @dataclass
 class FaultSmokeReport:
-    """All cells of one fault-injection smoke run."""
+    """All cells of one verified smoke run."""
 
     group: DeadlineGroup
     scale: HarnessScale
@@ -68,6 +70,28 @@ class FaultSmokeReport:
     @property
     def n_degradations(self) -> int:
         return sum(cell.n_degradations for cell in self.cells)
+
+    def to_payload(self) -> dict:
+        """JSON-safe payload for ``repro faults --smoke --json``."""
+        return {
+            "ok": self.ok,
+            "n_cells": len(self.cells),
+            "n_violations": self.n_violations,
+            "n_degradations": self.n_degradations,
+            "cells": [
+                {
+                    "label": cell.label,
+                    "scenario": cell.scenario,
+                    "trace_index": cell.trace_index,
+                    "ok": cell.ok,
+                    "n_spans": cell.n_spans,
+                    "n_degradations": cell.n_degradations,
+                    "n_evicted": cell.n_evicted,
+                    "violations": [v.render() for v in cell.violations],
+                }
+                for cell in self.cells
+            ],
+        }
 
     def render(self) -> str:
         lines = [
@@ -92,17 +116,19 @@ class FaultSmokeReport:
 
 def _scenario_plans(
     trace: Trace, n_resources: int, seed: int
-) -> dict[str, FaultPlan]:
-    """Canonical fault scenarios sized to one trace's arrival span.
+) -> dict[str, FaultPlan | None]:
+    """Canonical scenarios sized to one trace's arrival span.
 
-    Windows are placed at fixed fractions of the span so every scenario
-    actually overlaps live jobs regardless of the trace scale; the
-    generated mix keeps one spare resource so the platform never loses
-    everything at once.
+    ``no-faults`` comes first and carries no plan.  Fault windows are
+    placed at fixed fractions of the span so every scenario actually
+    overlaps live jobs regardless of the trace scale; the generated mix
+    keeps one spare resource so the platform never loses everything at
+    once.
     """
     span = trace.stats().span or 100.0
     third = span / 3.0
     return {
+        "no-faults": None,
         # The last resource (the GPU on the standard platform) is the
         # most-loaded one, so its outage actually displaces jobs.
         "transient-outage": FaultPlan(
@@ -150,11 +176,12 @@ def run_fault_smoke(
     seed: int = 0,
     progress: Callable[[str], None] | None = None,
 ) -> FaultSmokeReport:
-    """Run the fault-scenario grid with schedule verification per cell.
+    """Run the scenario grid with schedule verification per cell.
 
     Every simulation runs with ``verify=True`` and record collection and
-    hands the active :class:`FaultPlan` to the verifier, so the
-    fault-aware invariants check the degradations the scenario caused.
+    hands the scenario's :class:`FaultPlan` (``None`` for ``no-faults``)
+    to the verifier, so the fault-aware invariants check the
+    degradations the scenario caused.
     """
     scale = scale or HarnessScale(n_traces=2, n_requests=40, master_seed=0)
     platform = standard_platform()

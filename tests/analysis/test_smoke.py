@@ -1,5 +1,6 @@
-"""The verified smoke grid, the executor's verification stat, and the
-``repro analyze`` CLI subcommand."""
+"""The executor's verification stat and the ``repro analyze`` CLI
+subcommand.  The verified smoke grid is tested in
+``tests/faults/test_fault_smoke.py``."""
 
 from __future__ import annotations
 
@@ -7,58 +8,9 @@ import json
 
 import pytest
 
-from repro.analysis.smoke import SmokeCell, SmokeReport, run_verified_smoke
 from repro.cli import main
-from repro.experiments.config import HarnessScale
 from repro.experiments.runner import RunSpec, run_matrix
 from repro.sim.simulator import SimulationConfig
-from repro.workload.tracegen import DeadlineGroup
-
-SMALL = HarnessScale(n_traces=1, n_requests=15, master_seed=0)
-
-
-class TestVerifiedSmoke:
-    def test_grid_is_clean_and_complete(self):
-        report = run_verified_smoke(
-            SMALL, strategies=("heuristic",), predictors=(None, "oracle")
-        )
-        assert report.ok
-        assert len(report.cells) == 2  # 1 strategy x 2 predictors x 1 trace
-        assert all(cell.n_spans > 0 for cell in report.cells)
-        assert report.n_violations == 0
-
-    def test_progress_callback_fires(self):
-        seen: list[str] = []
-        run_verified_smoke(
-            SMALL, strategies=("heuristic",), predictors=(None,),
-            progress=seen.append,
-        )
-        assert seen == ["heuristic-off / trace 0"]
-
-    def test_render_lists_every_cell(self):
-        report = run_verified_smoke(
-            SMALL, strategies=("heuristic",), predictors=(None,)
-        )
-        text = report.render()
-        assert "OK" in text
-        assert "heuristic-off / trace 0" in text
-
-    def test_dirty_cell_renders_violations(self):
-        from repro.analysis.invariants import Violation
-
-        report = SmokeReport(group=DeadlineGroup.VT, scale=SMALL)
-        report.cells.append(
-            SmokeCell(
-                label="x",
-                trace_index=0,
-                ok=False,
-                n_spans=3,
-                violations=(Violation("overlap", "boom"),),
-            )
-        )
-        assert not report.ok
-        assert report.n_violations == 1
-        assert "overlap: boom" in report.render()
 
 
 class TestMatrixVerificationStat:
@@ -193,13 +145,6 @@ class TestAnalyzeCli:
         ])
         assert code == 0
         assert "suppressed by baseline" in capsys.readouterr().out
-
-    def test_smoke_grid(self, capsys):
-        code = main([
-            "analyze", "--smoke", "--traces", "1", "--requests", "12",
-        ])
-        assert code == 0
-        assert "verified smoke run" in capsys.readouterr().out
 
     def test_trace_verification(self, capsys, tmp_path, tiny_trace):
         path = tmp_path / "trace.json"

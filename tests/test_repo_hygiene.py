@@ -43,6 +43,20 @@ def test_no_bytecode_or_cache_dirs_tracked():
     )
 
 
+def test_no_packaging_metadata_tracked():
+    # setuptools rewrites *.egg-info on every install, so a tracked copy
+    # goes stale as soon as a module is added or deleted.
+    offenders = [
+        path
+        for path in _tracked_files()
+        if any(part.endswith(".egg-info") for part in path.split("/"))
+    ]
+    assert offenders == [], (
+        "packaging metadata is tracked by git (remove it and rely on "
+        f".gitignore): {offenders}"
+    )
+
+
 def test_gitignore_covers_generated_artefacts():
     gitignore = (REPO_ROOT / ".gitignore").read_text()
     for pattern in ("__pycache__", "/BENCH_*.json", ".hypothesis"):
