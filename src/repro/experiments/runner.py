@@ -146,13 +146,6 @@ class Aggregate:
     results: list[SimulationResult] = field(default_factory=list)
     cell_stats: list[CellStats] = field(default_factory=list)
 
-    def add(self, result: SimulationResult, *, keep_result: bool) -> None:
-        """Fold one simulation result into the aggregate."""
-        self.rejection_percentages.append(result.rejection_percentage)
-        self.normalized_energies.append(result.normalized_energy)
-        if keep_result:
-            self.results.append(result)
-
     def fold(
         self,
         record: Mapping[str, Any],

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.base import MappingDecision, MappingStrategy
 from repro.core.context import RMContext
+from repro.obs.events import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
@@ -77,6 +78,19 @@ class SolverWatchdog(MappingStrategy):
         self.enforce_budget = enforce_budget
         self.name = f"watchdog({primary.name})"
         self._events: list[tuple[str, str]] = []
+
+    @property
+    def tracer(self) -> Tracer:
+        """The primary's tracer; setting it installs the tracer on the
+        primary and the fallback alike, so a traced run sees the
+        decision events of whichever strategy solves."""
+        return self.primary.tracer
+
+    @tracer.setter
+    def tracer(self, tracer: Tracer) -> None:
+        self.primary.tracer = tracer
+        if self.fallback is not None:
+            self.fallback.tracer = tracer
 
     def drain_events(self) -> list[tuple[str, str]]:
         """Return and clear the buffered ``(kind, detail)`` degradations.

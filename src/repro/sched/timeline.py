@@ -301,18 +301,18 @@ def build_timeline(
 
 
 class Timeline:
-    """Incremental single-resource EDF timeline with a slack/feasibility
-    cache.
+    """Incremental single-resource EDF timeline behind the heuristic's
+    ``IsSchedulable``.
 
-    Maintains the *same* schedule semantics as :func:`build_timeline`
-    under ``insert``/``remove``/``probe`` mutations, but answers
-    feasibility probes from cached prefix finish times instead of
-    replaying the whole resource per query.  This is the structure behind
-    the heuristic's ``IsSchedulable``: an admission activation places
-    jobs one by one, probing many (job, resource) pairs, and a full
-    replay per probe is the dominant cost of the naive implementation.
+    Holds the *same* schedule as :func:`build_timeline` over the jobs
+    inserted so far, but answers feasibility probes from cached prefix
+    finish times instead of replaying the whole resource per query.  An
+    admission activation builds one timeline per resource and places
+    jobs one by one, probing many (job, resource) pairs; a full replay
+    per probe is the dominant cost of the naive implementation.  The
+    timeline only grows: jobs are inserted and probed, never removed.
 
-    Cache design (see DESIGN.md §8 for the invalidation rules):
+    Cache design (see DESIGN.md §8):
 
     * Ready jobs with ``exec_time > EPS`` form the *chain*: parallel
       arrays sorted by ``(deadline, job_id)`` holding execution times and
@@ -322,27 +322,30 @@ class Timeline:
       front of the chain; on a preemptable resource the flag is recorded
       (for validation parity) but ignored, as in :func:`build_timeline`.
     * Jobs with ``exec_time <= EPS`` never get scheduled by the event
-      loop (it only picks jobs with ``remaining > EPS``); they are kept
-      for bookkeeping but excluded from the chain, mirroring that
-      behaviour.
+      loop (it only picks jobs with ``remaining > EPS``), so they stay
+      out of the chain; only the replay sees them.
     * Future jobs that have effectively arrived
       (``arrival <= start_time + EPS``) behave exactly like ready jobs
-      and join the chain.  *Pending* future arrivals make slack
-      non-composable (a preemption can split a chunk; a non-preemptive
-      completion boundary can reorder the queue), so any query on a
-      timeline holding pending futures falls back to an authoritative
-      :func:`build_timeline` replay, cached until the next mutation.
+      and join the chain.  *Pending* future arrivals make the chain's
+      sums non-composable (a preemption can split a chunk; a
+      non-preemptive completion boundary can reorder the queue).  With
+      one pending, ``feasible``/``finish_times`` replay
+      :func:`build_timeline`, uncached, and ``probe`` takes the
+      one-future walk (:meth:`_probe_one_future_fast`) where its proof
+      holds and the replay elsewhere.
 
-    Mutations are *suffix-dirty*: a chain edit at position ``p`` records
-    ``p`` (keeping the minimum across stacked edits) and the next query
+    Inserts are *suffix-dirty*: a chain insert at position ``p`` records
+    ``p`` (keeping the minimum across stacked inserts) and the next query
     re-accumulates only ``chain[p:]`` from the cached prefix finish —
     the float-addition order is identical to a full re-accumulation, so
-    cached results stay bit-identical to :func:`build_timeline`.  Per-
-    entry miss flags (invariant: ``_miss_count == sum(_missed)`` after
-    every mutation and refresh) keep the feasibility count exact without
-    rescanning the clean prefix; future/tiny bookkeeping edits never
-    touch the chain cache at all.  A non-mutating ``probe`` likewise
-    re-accumulates only the suffix at the hypothetical insertion point.
+    cached results stay bit-identical to :func:`build_timeline`.  One
+    flag records a deadline miss of the chain or the forced job, and the
+    refresh only ever sets it: an insert can only move later finishes
+    up (rounded IEEE addition is monotone, ``a <= b`` implies
+    ``fl(a + x) <= fl(b + x)``, and adding a positive execution time
+    never lowers a sum), so a job that missed keeps missing.  A
+    non-mutating ``probe`` likewise re-accumulates only the suffix at
+    the hypothetical insertion point.
 
     A ready-only probe that succeeds *keeps* what it computed: the job's
     ``(job_id, exec_time, deadline)``, its insertion point and the
@@ -350,8 +353,7 @@ class Timeline:
     the chain splices those finishes in, so the chain stays clean and
     the next query re-adds nothing.  The kept finishes are the sums a
     refresh would make, in the same order, and the probe has shown that
-    none of them misses.  Every other mutation drops the kept state
-    (``_mark_chain_dirty`` and ``_invalidate_refs`` clear it), so it
+    none of them misses.  Every other insert drops the kept state, so it
     never outlives the chain it was computed on.
     """
 
@@ -362,18 +364,12 @@ class Timeline:
         "_keys",
         "_execs",
         "_finish",
-        "_missed",
         "_futures",
-        "_tiny",
         "_forced_id",
         "_forced_entry",
-        "_forced_finish",
-        "_forced_missed",
-        "_miss_count",
+        "_miss",
         "_dirty_from",
         "_kept",
-        "_ref",
-        "_lists",
     )
 
     def __init__(
@@ -386,66 +382,32 @@ class Timeline:
         self._keys: list[tuple[float, int]] = []  # (deadline, job_id)
         self._execs: list[float] = []
         self._finish: list[float] = []
-        self._missed: list[bool] = []
         self._futures: dict[int, tuple[float, float, float]] = {}
-        self._tiny: set[int] = set()
         self._forced_id: int | None = None
         self._forced_entry: tuple[int, float, float] | None = None
-        self._forced_finish: float | None = None
-        self._forced_missed = False
-        self._miss_count = 0
-        # First chain index whose cached finish/missed entries are stale
-        # (None = clean).  0 additionally re-derives the forced job's
-        # finish, the base of the chain.
+        # Whether a refreshed chain job or the forced job misses its
+        # deadline; once set, it stays set (see the class docstring).
+        self._miss = False
+        # First chain index whose cached finish is stale (None = clean).
+        # 0 additionally re-checks the forced job, the base of the chain.
         self._dirty_from: int | None = 0
         # The last feasible ready-only probe on the current chain:
         # (job_id, exec_time, deadline, pos, finishes from pos), or None.
         self._kept: tuple[int, float, float, int, list[float]] | None = None
-        self._ref: ResourceTimeline | None = None
-        self._lists: tuple[list[ReadyJob], list[FutureJob]] | None = None
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def start_time(self) -> float:
-        return self._start
-
-    @property
-    def preemptable(self) -> bool:
-        return self._preemptable
 
     def __len__(self) -> int:
         return len(self._jobs)
 
-    def __contains__(self, job_id: int) -> bool:
-        return job_id in self._jobs
-
-    def job_ids(self) -> tuple[int, ...]:
-        """All held job ids, in insertion-agnostic sorted order."""
-        return tuple(sorted(self._jobs))
-
-    # ------------------------------------------------------------------
-    # Mutations
-    # ------------------------------------------------------------------
-
-    def insert(
+    def _check_new(
         self,
         job_id: int,
         exec_time: float,
-        deadline: float,
-        *,
-        arrival: float | None = None,
-        must_run_first: bool = False,
+        arrival: float | None,
+        must_run_first: bool,
     ) -> None:
-        """Add one job; ``arrival`` marks a future job (the predicted
-        task), ``None`` a ready one.
-
-        Raises ``ValueError`` on the same inputs :func:`build_timeline`
-        rejects: non-positive execution time, duplicate ids, a second
-        ``must_run_first`` job, or a forced *future* job.
-        """
+        """Reject a job :func:`build_timeline` would reject next to the
+        held ones: non-positive execution time, a duplicate id, a second
+        ``must_run_first`` job, or a forced *future* job."""
         if exec_time <= 0:
             raise ValueError(
                 f"job {job_id}: exec_time must be > 0, got {exec_time}"
@@ -462,20 +424,34 @@ class Timeline:
                     "at most one job may be must_run_first, got "
                     f"{[self._forced_id, job_id]}"
                 )
+
+    def insert(
+        self,
+        job_id: int,
+        exec_time: float,
+        deadline: float,
+        *,
+        arrival: float | None = None,
+        must_run_first: bool = False,
+    ) -> None:
+        """Add one job; ``arrival`` marks a future job (the predicted
+        task), ``None`` a ready one.  Raises ``ValueError`` on the inputs
+        :meth:`_check_new` names."""
+        self._check_new(job_id, exec_time, arrival, must_run_first)
+        if must_run_first:
             self._forced_id = job_id
         self._jobs[job_id] = (exec_time, deadline, arrival, must_run_first)
+        kept = self._kept
+        self._kept = None
         if arrival is not None and arrival > self._start + EPS:
             self._futures[job_id] = (arrival, exec_time, deadline)
-            self._invalidate_refs()
         elif exec_time <= EPS:
-            self._tiny.add(job_id)
-            self._invalidate_refs()
+            return  # never scheduled: only the replay sees it
         elif must_run_first and not self._preemptable:
             self._forced_entry = (job_id, exec_time, deadline)
-            self._mark_chain_dirty(0)
+            self._dirty_from = 0
         else:
             key = (deadline, job_id)
-            kept = self._kept
             if (
                 kept is not None
                 and kept[0] == job_id
@@ -489,79 +465,15 @@ class Timeline:
                 self._keys.insert(pos, key)
                 self._execs.insert(pos, exec_time)
                 self._finish[pos:] = kept[4]
-                self._missed.insert(pos, False)
-                self._invalidate_refs()
                 return
             pos = bisect_left(self._keys, key)
             self._keys.insert(pos, key)
             self._execs.insert(pos, exec_time)
-            # Placeholders keep the parallel arrays aligned; False is not
-            # counted, preserving _miss_count == sum(_missed) until the
-            # suffix refresh computes the real values.
+            # A placeholder keeps the parallel arrays aligned until the
+            # suffix refresh computes the real finish.
             self._finish.insert(pos, 0.0)
-            self._missed.insert(pos, False)
-            self._mark_chain_dirty(pos)
-
-    def remove(self, job_id: int) -> None:
-        """Remove one job (``KeyError`` when absent)."""
-        exec_time, deadline, arrival, must_run_first = self._jobs.pop(job_id)
-        if must_run_first:
-            self._forced_id = None
-        if job_id in self._futures:
-            del self._futures[job_id]
-            self._invalidate_refs()
-        elif job_id in self._tiny:
-            self._tiny.discard(job_id)
-            self._invalidate_refs()
-        elif (
-            self._forced_entry is not None
-            and self._forced_entry[0] == job_id
-        ):
-            self._forced_entry = None
-            self._mark_chain_dirty(0)
-        else:
-            pos = bisect_left(self._keys, (deadline, job_id))
-            del self._keys[pos]
-            del self._execs[pos]
-            if self._missed[pos]:
-                self._miss_count -= 1
-            del self._finish[pos]
-            del self._missed[pos]
-            self._mark_chain_dirty(pos)
-
-    def clear(self) -> None:
-        """Drop every job."""
-        self._jobs.clear()
-        self._keys.clear()
-        self._execs.clear()
-        self._finish.clear()
-        self._missed.clear()
-        self._futures.clear()
-        self._tiny.clear()
-        self._forced_id = None
-        self._forced_entry = None
-        self._miss_count = 0
-        self._mark_chain_dirty(0)
-
-    def _mark_chain_dirty(self, pos: int) -> None:
-        """Chain edited at ``pos``: everything from there is stale."""
-        if self._dirty_from is None or pos < self._dirty_from:
-            self._dirty_from = pos
-        self._kept = None
-        self._ref = None
-        self._lists = None
-
-    def _invalidate_refs(self) -> None:
-        """Non-chain mutation (future/tiny bookkeeping): the ready-chain
-        cache stays valid, only the reference replay and the kept probe
-        are stale."""
-        self._kept = None
-        self._ref = None
-        self._lists = None
-
-    # ------------------------------------------------------------------
-    # Cache refresh (ready-chain fast path)
-    # ------------------------------------------------------------------
+            if self._dirty_from is None or pos < self._dirty_from:
+                self._dirty_from = pos
 
     def _base_finish(self) -> float:
         """Completion time of the forced job (or the start time)."""
@@ -580,45 +492,33 @@ class Timeline:
         first = self._dirty_from
         if first is None:
             return
+        miss = self._miss
         if first == 0:
-            if self._forced_entry is None:
-                self._forced_finish = None
-                self._forced_missed = False
-                time = self._start
-            else:
-                _job_id, exec_time, deadline = self._forced_entry
-                time = self._start + exec_time
-                self._forced_finish = time
-                self._forced_missed = time > deadline + EPS
+            time = self._base_finish()
+            forced = self._forced_entry
+            if forced is not None and time > forced[2] + EPS:
+                miss = True
         else:
             time = self._finish[first - 1]
         keys = self._keys
         execs = self._execs
         finish = self._finish
-        missed = self._missed
-        misses = self._miss_count
         for index in range(first, len(keys)):
             time = time + execs[index]
             finish[index] = time
-            miss = time > keys[index][0] + EPS
-            if miss != missed[index]:
-                misses += 1 if miss else -1
-                missed[index] = miss
-        self._miss_count = misses
+            if time > keys[index][0] + EPS:
+                miss = True
+        self._miss = miss
         self._dirty_from = None
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
 
     def feasible(self) -> bool:
         """Whether every scheduled job meets its deadline (within EPS);
         agrees exactly with ``build_timeline(...).feasible`` on the same
         job set."""
         if self._futures:
-            return self.as_reference().feasible
+            return self._replay().feasible
         self._refresh()
-        return self._miss_count == 0 and not self._forced_missed
+        return not self._miss
 
     def probe(
         self,
@@ -636,21 +536,7 @@ class Timeline:
         :func:`build_timeline` replay; the fast path touches only the
         suffix of the cached chain at the hypothetical insertion point.
         """
-        if exec_time <= 0:
-            raise ValueError(
-                f"job {job_id}: exec_time must be > 0, got {exec_time}"
-            )
-        if job_id in self._jobs:
-            raise ValueError(f"duplicate job_id {job_id}")
-        if must_run_first and arrival is not None:
-            raise ValueError(
-                f"job {job_id}: a future job cannot be must_run_first"
-            )
-        if must_run_first and self._forced_id is not None:
-            raise ValueError(
-                "at most one job may be must_run_first, got "
-                f"{[self._forced_id, job_id]}"
-            )
+        self._check_new(job_id, exec_time, arrival, must_run_first)
         if self._futures or (
             arrival is not None and arrival > self._start + EPS
         ):
@@ -668,7 +554,7 @@ class Timeline:
                 must_run_first=must_run_first,
             )
         self._refresh()
-        if self._miss_count > 0 or self._forced_missed:
+        if self._miss:
             # Ready-only EDF: adding work never repairs a miss (finish
             # times are monotone in the job set).
             return False
@@ -705,78 +591,45 @@ class Timeline:
         """Completion time of every scheduled job, in completion order
         (matches ``build_timeline(...).finish_times`` exactly)."""
         if self._futures:
-            return dict(self.as_reference().finish_times)
+            return self._replay().finish_times
         self._refresh()
         times: dict[int, float] = {}
         if self._forced_entry is not None:
-            assert self._forced_finish is not None
-            times[self._forced_entry[0]] = self._forced_finish
+            times[self._forced_entry[0]] = self._base_finish()
         for key, finish in zip(self._keys, self._finish, strict=True):
             times[key[1]] = finish
         return times
 
-    def slack(self, job_id: int) -> float:
-        """``deadline - finish`` of one scheduled job.
-
-        Raises ``KeyError`` for unknown jobs and for jobs the scheduler
-        never completes (``exec_time <= EPS``).
-        """
-        if job_id not in self._jobs:
-            raise KeyError(f"job {job_id} not in timeline")
-        finish = self.finish_times()
-        if job_id not in finish:
-            raise KeyError(f"job {job_id} never finishes")
-        return self._jobs[job_id][1] - finish[job_id]
-
-    def min_slack(self) -> float:
-        """Smallest ``deadline - finish`` over all scheduled jobs
-        (``inf`` when nothing is scheduled); negative below ``-EPS``
-        exactly when the timeline is infeasible."""
-        finish = self.finish_times()
-        if not finish:
-            return float("inf")
-        return min(
-            self._jobs[job_id][1] - end for job_id, end in finish.items()
+    def _replay(
+        self, extra: ReadyJob | FutureJob | None = None
+    ) -> ResourceTimeline:
+        """Authoritative :func:`build_timeline` replay of the held jobs,
+        plus ``extra`` when given (uncached)."""
+        ready: list[ReadyJob] = []
+        future: list[FutureJob] = []
+        for job_id, (exec_time, deadline, arrival, forced) in (
+            self._jobs.items()
+        ):
+            if arrival is None:
+                ready.append(
+                    ReadyJob(
+                        job_id, exec_time, deadline, must_run_first=forced
+                    )
+                )
+            else:
+                future.append(
+                    FutureJob(job_id, arrival, exec_time, deadline)
+                )
+        if isinstance(extra, ReadyJob):
+            ready.append(extra)
+        elif extra is not None:
+            future.append(extra)
+        return build_timeline(
+            ready,
+            future,
+            start_time=self._start,
+            preemptable=self._preemptable,
         )
-
-    def as_reference(self) -> ResourceTimeline:
-        """Authoritative :func:`build_timeline` replay of the current job
-        set (cached until the next mutation)."""
-        if self._ref is None:
-            ready, future = self._job_lists()
-            self._ref = build_timeline(
-                ready,
-                future,
-                start_time=self._start,
-                preemptable=self._preemptable,
-            )
-        return self._ref
-
-    # ------------------------------------------------------------------
-    # Reference fallback plumbing
-    # ------------------------------------------------------------------
-
-    def _job_lists(self) -> tuple[list[ReadyJob], list[FutureJob]]:
-        """The current job set as build_timeline inputs (cached until the
-        next mutation; callers must not mutate the returned lists)."""
-        if self._lists is None:
-            ready: list[ReadyJob] = []
-            future: list[FutureJob] = []
-            for job_id, (exec_time, deadline, arrival, forced) in sorted(
-                self._jobs.items()
-            ):
-                if arrival is None:
-                    ready.append(
-                        ReadyJob(
-                            job_id, exec_time, deadline, must_run_first=forced
-                        )
-                    )
-                else:
-                    future.append(
-                        FutureJob(job_id, arrival, exec_time, deadline)
-                    )
-            self._lists = (ready, future)
-        return self._lists
 
     def _probe_one_future_fast(
         self,
@@ -797,10 +650,14 @@ class Timeline:
         position, accumulate the displaced suffix.  Every float operation
         below mirrors the replay's (same additions, same order, same
         ``EPS`` comparisons), so the boolean is bit-identical.  Returns
-        ``None`` when the job set is outside this proof (several
-        futures, tiny executions); the caller falls back to the
-        authoritative replay.  A forced (``must_run_first``) job *is*
-        covered: on a non-preemptable resource it runs to completion
+        ``None`` when the job set is outside this proof (two pending
+        futures, or a tiny probed or pending execution); the caller then
+        replays.  The caller never offers it a forced (``must_run_first``)
+        *probe*: that goes straight to the replay, and on lookahead-1
+        traces it is the only fallback that runs — a probe of a forced
+        ready job against a timeline holding the predicted task.  A
+        forced job already *held* is covered: on a non-preemptable
+        resource it runs to completion
         before anything else — arrivals only mark at completion
         boundaries there — so it merely shifts the chain base to
         :meth:`_base_finish`; on a preemptable resource the flag is
@@ -915,46 +772,13 @@ class Timeline:
         arrival: float | None,
         must_run_first: bool,
     ) -> bool:
-        ready, future = self._job_lists()
-        if arrival is None:
-            ready = [
-                *ready,
-                ReadyJob(
-                    job_id, exec_time, deadline, must_run_first=must_run_first
-                ),
-            ]
-        else:
-            future = [
-                *future,
-                FutureJob(job_id, arrival, exec_time, deadline),
-            ]
-        return build_timeline(
-            ready,
-            future,
-            start_time=self._start,
-            preemptable=self._preemptable,
-        ).feasible
-
-    @classmethod
-    def from_jobs(
-        cls,
-        ready_jobs: list[ReadyJob] | tuple[ReadyJob, ...],
-        future_jobs: list[FutureJob] | tuple[FutureJob, ...] = (),
-        *,
-        start_time: float = 0.0,
-        preemptable: bool = True,
-    ) -> "Timeline":
-        """Build a timeline holding the given jobs (test convenience)."""
-        timeline = cls(start_time=start_time, preemptable=preemptable)
-        for job in ready_jobs:
-            timeline.insert(
-                job.job_id,
-                job.exec_time,
-                job.deadline,
-                must_run_first=job.must_run_first,
+        """``probe`` by an authoritative replay of the held jobs plus
+        the probed one."""
+        probe: ReadyJob | FutureJob = (
+            ReadyJob(
+                job_id, exec_time, deadline, must_run_first=must_run_first
             )
-        for job in future_jobs:
-            timeline.insert(
-                job.job_id, job.exec_time, job.deadline, arrival=job.arrival
-            )
-        return timeline
+            if arrival is None
+            else FutureJob(job_id, arrival, exec_time, deadline)
+        )
+        return self._replay(probe).feasible

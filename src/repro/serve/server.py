@@ -144,8 +144,8 @@ class ServeConfig:
     solver_wall_budget:
         Optional wall-clock budget (seconds) per primary solve; set, it
         wraps the strategy in an enforcing
-        :class:`~repro.faults.watchdog.SolverWatchdog` over
-        ``solver_fallback``.
+        :class:`~repro.faults.watchdog.SolverWatchdog` that falls back to
+        the paper's ``heuristic``.
     error_window, error_threshold, min_observations:
         Forwarded to the :class:`~repro.serve.depository.UsageDepository`
         reprovision trigger.  After a reprovision pass, predictions are
@@ -182,7 +182,6 @@ class ServeConfig:
     lookahead: int = 1
     charge_unstarted_migration: bool = False
     solver_wall_budget: float | None = None
-    solver_fallback: str = "heuristic"
     error_window: int = 32
     error_threshold: float = 0.5
     min_observations: int = 8
@@ -915,7 +914,7 @@ class AdmissionServer:
 
             strategy = SolverWatchdog(
                 strategy,
-                resolve_strategy(config.solver_fallback),
+                resolve_strategy("heuristic"),
                 wall_budget=config.solver_wall_budget,
                 enforce_budget=True,
             )

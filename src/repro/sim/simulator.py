@@ -164,8 +164,9 @@ class Simulator:
         With ``SimulationConfig(tracer=TraceOptions())`` the run also
         collects the structured event stream and metrics snapshot onto
         the result (DESIGN.md §11); the tracer is installed on the
-        strategy and admission controller only for the duration of this
-        call, so untraced runs through the same objects stay clean.
+        strategy (through a watchdog, on its fallback too) and admission
+        controller only for the duration of this call, so untraced runs
+        through the same objects stay clean.
         """
         options = self.config.tracer
         if options is None:
@@ -386,6 +387,9 @@ class Simulator:
             resolve_strategy(plan.solver_fallback),
             plan=plan,
         )
+        # run() installed the run's tracer on the strategy; the setter
+        # hands it to the fallback as well.
+        watchdog.tracer = self.strategy.tracer
         return AdmissionController(watchdog)
 
     @staticmethod

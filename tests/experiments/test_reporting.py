@@ -8,16 +8,25 @@ from repro.experiments.reporting import (
     save_report,
 )
 from repro.experiments.runner import Aggregate
-from repro.sim.result import SimulationResult
 
 
 def make_aggregate(label, rejections, energies):
+    """An aggregate folded from cell records, as ``run_matrix`` builds it."""
     aggregate = Aggregate(label)
-    for rejection, energy in zip(rejections, energies, strict=True):
-        result = SimulationResult(n_requests=100, energy_demand=1.0)
-        result.rejected = list(range(int(rejection)))
-        result.total_energy = energy
-        aggregate.add(result, keep_result=False)
+    for trace, (rejection, energy) in enumerate(
+        zip(rejections, energies, strict=True)
+    ):
+        aggregate.fold(
+            {
+                "spec": 0,
+                "trace": trace,
+                "rejection_hex": float(rejection).hex(),
+                "energy_hex": float(energy).hex(),
+                "wall_time": 0.0,
+                "solver_calls": 0,
+                "verified": None,
+            }
+        )
     return aggregate
 
 

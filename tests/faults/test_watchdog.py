@@ -4,6 +4,7 @@ The watchdog only reads ``context.time``, so a ``SimpleNamespace``
 stands in for the full RMContext.
 """
 
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,8 @@ import pytest
 from repro.core.base import MappingDecision, MappingStrategy
 from repro.faults.plan import FaultPlan, SolverFault
 from repro.faults.watchdog import SolverWatchdog
+from repro.obs.events import NULL_TRACER
+from repro.registry import resolve_predictor
 
 
 class Primary(MappingStrategy):
@@ -153,3 +156,75 @@ def test_wall_budget_enforced_substitutes_fallback():
 def test_bad_wall_budget_rejected():
     with pytest.raises(ValueError, match="wall_budget"):
         SolverWatchdog(Primary(), wall_budget=0.0)
+
+
+class TestFallbackIsTraced:
+    """A traced run sees the decision events of whichever strategy
+    solves, also when a watchdog's fallback does."""
+
+    @staticmethod
+    def placements(result):
+        """The ``heuristic-place`` events without their stream position,
+        which the faulted run's degradation events shift."""
+        return [
+            {k: v for k, v in event.to_dict().items() if k != "seq"}
+            for event in result.events
+            if event.kind == "heuristic-place"
+        ]
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        from repro import simulate
+        from repro.experiments.common import standard_platform, standard_traces
+        from repro.experiments.config import HarnessScale
+        from repro.obs.events import TraceOptions
+        from repro.workload.tracegen import DeadlineGroup
+
+        platform = standard_platform()
+        (trace,) = standard_traces(
+            DeadlineGroup.VT, HarnessScale(1, 40, master_seed=0)
+        )
+        plain = simulate(
+            trace, platform, "heuristic", "oracle", tracer=TraceOptions()
+        )
+        return platform, trace, plain, self.placements(plain)
+
+    def test_plan_built_watchdog_traces_its_fallback(self, setup):
+        from repro import simulate
+        from repro.obs.events import TraceOptions
+
+        platform, trace, plain, placed = setup
+        plan = FaultPlan(
+            solver_faults=(SolverFault("exception", 0.0, math.inf),)
+        )
+        faulted = simulate(
+            trace,
+            platform,
+            "milp",
+            "oracle",
+            fault_plan=plan,
+            tracer=TraceOptions(),
+        )
+        assert faulted.accepted == plain.accepted
+        assert placed
+        assert self.placements(faulted) == placed
+
+    def test_user_watchdog_traces_its_fallback(self, setup):
+        from repro.obs.events import TraceOptions
+        from repro.registry import resolve_strategy
+        from repro.sim.simulator import SimulationConfig, Simulator
+
+        platform, trace, plain, placed = setup
+        strategy = SolverWatchdog(Exploding(), resolve_strategy("heuristic"))
+        simulator = Simulator(
+            platform,
+            strategy,
+            resolve_predictor("oracle"),
+            SimulationConfig(tracer=TraceOptions()),
+        )
+        faulted = simulator.run(trace)
+        assert faulted.accepted == plain.accepted
+        assert self.placements(faulted) == placed
+        # Installed only for the run, on both strategies.
+        assert strategy.fallback.tracer is NULL_TRACER
+        assert strategy.tracer is NULL_TRACER

@@ -2,15 +2,17 @@
 
 The incremental :class:`Timeline` used to rebuild its entire finish-time
 chain on every mutation; the suffix-dirty rewrite re-derives only the
-chain from the first mutated position, keeping a parallel per-entry miss
-array in step.  The hypothesis replay suite pins correctness broadly;
-these targeted cases pin the bookkeeping paths directly — stacked
-mutations before one refresh, prefix preservation, and miss-count
-consistency through insert/remove churn.
+chain from the first inserted position, and one flag records a deadline
+miss.  The hypothesis replay suite pins correctness broadly; these
+targeted cases pin the bookkeeping paths directly — stacked inserts
+before one refresh, prefix preservation, the kept-probe splice, and a
+miss that later inserts cannot clear.
 """
 
-from repro.sched.timeline import Timeline, build_timeline
-from repro.sched.timeline import ReadyJob
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sched.timeline import FutureJob, ReadyJob, Timeline, build_timeline
 
 
 def fresh_feasible(jobs: dict[int, tuple[float, float]]) -> bool:
@@ -36,48 +38,18 @@ class TestStackedMutations:
             timeline.insert(job_id, exec_time, deadline)
         assert timeline.feasible() == fresh_feasible(jobs)
 
-    def test_interleaved_insert_remove_probe(self):
-        timeline = Timeline(start_time=0.0, preemptable=True)
-        jobs: dict[int, tuple[float, float]] = {}
-        for job_id in range(12):
-            timeline.insert(job_id, 2.0, 10.0 + 3.0 * job_id)
-            jobs[job_id] = (2.0, 10.0 + 3.0 * job_id)
-        for job_id in (3, 7, 1):
-            timeline.remove(job_id)
-            del jobs[job_id]
-            assert timeline.feasible() == fresh_feasible(jobs)
-        # A probe that would miss must not corrupt subsequent queries.
-        assert timeline.probe(99, 50.0, 1.0) is False
-        assert timeline.feasible() == fresh_feasible(jobs)
-
-    def test_remove_missed_entry_restores_feasibility(self):
-        timeline = Timeline(start_time=0.0, preemptable=True)
-        timeline.insert(0, 5.0, 100.0)
-        timeline.insert(1, 50.0, 10.0)  # hopeless: misses by 40+
-        assert timeline.feasible() is False
-        timeline.remove(1)
-        assert timeline.feasible() is True
-
-    def test_stacked_removes_of_missed_entries(self):
-        timeline = Timeline(start_time=0.0, preemptable=True)
-        for job_id in range(6):
-            timeline.insert(job_id, 10.0, 15.0)  # most of these miss
-        assert timeline.feasible() is False
-        for job_id in range(5):  # strip back to a single feasible job
-            timeline.remove(job_id)
-        assert timeline.feasible() is True
 
     def test_prefix_untouched_by_suffix_mutation(self):
         timeline = Timeline(start_time=0.0, preemptable=True)
         for job_id in range(8):
             timeline.insert(job_id, 1.5, 5.0 * (job_id + 1))
         before = dict(timeline.finish_times())
-        # Mutating at the tail must not move any earlier finish time by
+        # Inserting at the tail must not move any earlier finish time by
         # even one ULP (sequential float addition order is preserved).
         timeline.insert(100, 1.0, 1000.0)
-        timeline.remove(100)
         after = dict(timeline.finish_times())
-        assert before == after
+        assert {job_id: after[job_id] for job_id in before} == before
+        assert after[100] == before[7] + 1.0
 
     def test_insert_at_front_recomputes_everything(self):
         timeline = Timeline(start_time=0.0, preemptable=True)
@@ -143,8 +115,10 @@ class TestProbeSplice:
     def test_mutation_between_probe_and_insert_drops_the_kept_probe(self):
         timeline, jobs = self.chain()
         assert timeline.probe(50, 0.7, 12.5) is True
-        timeline.remove(1)
-        del jobs[1]
+        # Deadline 11.5 sorts ahead of the probed job's slot, so finishes
+        # kept across this insert would be short by its execution.
+        timeline.insert(60, 0.2, 11.5)
+        jobs[60] = (0.2, 11.5)
         timeline.insert(50, 0.7, 12.5)
         jobs[50] = (0.7, 12.5)
         assert timeline.finish_times() == fresh_finish_times(
@@ -161,3 +135,72 @@ class TestProbeSplice:
             jobs, start_time=0.3
         )
         assert not timeline.feasible()
+
+
+# Later inserts: (kind, exec, deadline, arrival).  Futures with an
+# arrival at the start join the chain; later ones stay pending.
+later_inserts = st.lists(
+    st.tuples(
+        st.sampled_from(["ready", "forced", "tiny", "future"]),
+        st.floats(min_value=0.01, max_value=4.0),
+        st.floats(min_value=0.0, max_value=30.0),
+        st.sampled_from([0.0, 0.5, 1.5, 2.9, 3.0, 4.5, 8.0]),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestMissStaysMissed:
+    """The one miss flag rests on inserts only ever moving finishes
+    later: once the chain misses, no insert clears the miss."""
+
+    @given(later_inserts, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_inserts_after_a_miss_keep_feasible_and_ready_probes_false(
+        self, inserts, preemptable
+    ):
+        timeline = Timeline(start_time=0.0, preemptable=preemptable)
+        held: list[ReadyJob | FutureJob] = [
+            ReadyJob(0, 3.0, 4.0),
+            ReadyJob(1, 3.0, 5.0),  # finishes at 6.0: misses by 1.0
+        ]
+        for job in held:
+            timeline.insert(job.job_id, job.exec_time, job.deadline)
+        assert timeline.feasible() is False
+        has_forced = False
+        for job_id, (kind, exec_time, deadline, arrival) in enumerate(
+            inserts, start=2
+        ):
+            job: ReadyJob | FutureJob
+            if kind == "future":
+                job = FutureJob(job_id, arrival, exec_time, deadline)
+                timeline.insert(job_id, exec_time, deadline, arrival=arrival)
+            else:
+                forced = kind == "forced" and not has_forced
+                has_forced = has_forced or forced
+                if kind == "tiny":
+                    exec_time = 1e-12
+                job = ReadyJob(
+                    job_id, exec_time, deadline, must_run_first=forced
+                )
+                timeline.insert(
+                    job_id, exec_time, deadline, must_run_first=forced
+                )
+            held.append(job)
+            assert timeline.feasible() is False
+            assert not build_timeline(
+                [j for j in held if isinstance(j, ReadyJob)],
+                [j for j in held if isinstance(j, FutureJob)],
+                start_time=0.0,
+                preemptable=preemptable,
+            ).feasible
+            assert timeline.probe(1000 + job_id, 0.5, 100.0) is False
+            assert timeline.probe(2000 + job_id, 1e-12, 100.0) is False
+            if not has_forced:
+                assert (
+                    timeline.probe(
+                        3000 + job_id, 0.5, 100.0, must_run_first=True
+                    )
+                    is False
+                )
