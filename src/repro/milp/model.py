@@ -170,7 +170,14 @@ class Model:
         self.objective = dict(objective)
 
     def arrays(self) -> Arrays:
-        """The model in the one array form that is solved."""
+        """The model in the one array form that is solved.
+
+        Raises :class:`ValueError` naming the first row or variable with
+        a NaN bound, a non-finite coefficient or a non-finite objective
+        coefficient: HiGHS would read such a model silently (a NaN bound
+        as infeasible, a NaN coefficient as an absent term).  Infinite
+        bounds are legal.
+        """
         c = np.zeros(len(self.variables))
         for col, coeff in self.objective.items():
             c[col] = coeff
@@ -184,7 +191,7 @@ class Model:
         data = np.fromiter(
             chain.from_iterable(row.coeffs for row in rows), np.float64, nnz
         )
-        return Arrays(
+        arrays = Arrays(
             c=c,
             a=(data, indices, indptr),
             lo=np.array([row.lo for row in rows], dtype=np.float64),
@@ -195,6 +202,38 @@ class Model:
                 [v.integer for v in self.variables], dtype=np.uint8
             ),
         )
+        self._check_numbers(arrays)
+        return arrays
+
+    def _check_numbers(self, arrays: Arrays) -> None:
+        """Raise on the first row or variable :meth:`arrays` rejects."""
+        data, _, indptr = arrays.a
+        bad_rows = np.isnan(arrays.lo) | np.isnan(arrays.hi)
+        if bad_rows.any():
+            row = self.rows[int(np.argmax(bad_rows))]
+            raise ValueError(
+                f"row {row.name!r}: NaN bound (lo {row.lo}, hi {row.hi})"
+            )
+        bad_coeffs = ~np.isfinite(data)
+        if bad_coeffs.any():
+            at = int(np.argmax(bad_coeffs))
+            row = self.rows[int(np.searchsorted(indptr, at, side="right")) - 1]
+            raise ValueError(
+                f"row {row.name!r}: non-finite coefficient {data[at]}"
+            )
+        bad_bounds = np.isnan(arrays.lb) | np.isnan(arrays.ub)
+        if bad_bounds.any():
+            var = self.variables[int(np.argmax(bad_bounds))]
+            raise ValueError(
+                f"variable {var.name!r}: NaN bound (lb {var.lb}, ub {var.ub})"
+            )
+        bad_costs = ~np.isfinite(arrays.c)
+        if bad_costs.any():
+            var = self.variables[int(np.argmax(bad_costs))]
+            raise ValueError(
+                f"variable {var.name!r}: non-finite objective coefficient "
+                f"{arrays.c[var.index]}"
+            )
 
     def solve(self) -> Solution:
         """Solve to optimality with HiGHS."""

@@ -5,7 +5,7 @@ MILPs (the cross-validation property).
 Models only minimise, so a maximisation minimises the negated
 objective and the tests negate the optimum back."""
 
-import re
+import math
 import warnings
 
 import pytest
@@ -13,6 +13,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
 
 from repro.milp import scipy_backend
 from repro.milp.model import Model, SolveStatus
@@ -86,35 +87,30 @@ class TestScipyBackend:
         assert sol.status is SolveStatus.OPTIMAL
 
     @staticmethod
-    def _dropped_options(monkeypatch):
-        """Messages of the OptimizeWarnings scipy's HiGHS wrapper raises
-        during one solve, each for an option it then ignores; the spy
-        records them before solve_with_scipy's filters can hide them."""
-        caught = []
-        original = scipy_backend.milp
+    def _refused_options(monkeypatch):
+        """Keys HiGHS refuses during one solve, each an option the solve
+        then runs without; the spy records them before solve_with_scipy
+        decides whether to warn."""
+        refused = []
 
-        def spy(*args, **kwargs):
-            with warnings.catch_warnings(record=True) as seen:
-                warnings.simplefilter("always")
-                result = original(*args, **kwargs)
-            caught.extend(seen)
-            return result
+        class Spy(scipy_backend._Highs):
+            def setOptionValue(self, key, value):
+                status = super().setOptionValue(key, value)
+                if status != HighsStatus.kOk:
+                    refused.append(key)
+                return status
 
-        monkeypatch.setattr(scipy_backend, "milp", spy)
+        monkeypatch.setattr(scipy_backend, "_Highs", Spy)
         m, _ = knapsack_model([10, 13, 7], [5, 6, 4], 10)
         assert solve_with_scipy(m).status is SolveStatus.OPTIMAL
-        return [
-            str(w.message)
-            for w in caught
-            if issubclass(w.category, OptimizeWarning)
-        ]
+        return refused
 
     def test_highs_drops_no_option_but_feasibility_jump(self, monkeypatch):
-        """A misspelt or retired key would be dropped on every scipy."""
+        """A misspelt or retired key would be refused on every scipy."""
         dropped = [
-            message
-            for message in self._dropped_options(monkeypatch)
-            if not re.match(scipy_backend._FEASIBILITY_JUMP_DROPPED, message)
+            key
+            for key in self._refused_options(monkeypatch)
+            if key != scipy_backend._OPTIONAL_KEY
         ]
         assert not dropped, dropped
 
@@ -125,28 +121,22 @@ class TestScipyBackend:
         "key, which leaves the solve as it was",
     )
     def test_installed_highs_knows_every_option(self, monkeypatch):
-        dropped = self._dropped_options(monkeypatch)
+        dropped = self._refused_options(monkeypatch)
         assert not dropped, dropped
 
     @staticmethod
     def _older_highs(monkeypatch, dropped):
-        original = scipy_backend.milp
+        class OlderHighs(scipy_backend._Highs):
+            def setOptionValue(self, key, value):
+                # What a HiGHS that does not know the key answers.
+                if key == dropped:
+                    return HighsStatus.kError
+                return super().setOptionValue(key, value)
 
-        def older_highs(*args, **kwargs):
-            # What scipy's HiGHS wrapper says before ignoring the key.
-            warnings.warn(
-                f"Unrecognized options detected: {dropped}",
-                OptimizeWarning,
-                stacklevel=2,
-            )
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy_backend, "milp", older_highs)
+        monkeypatch.setattr(scipy_backend, "_Highs", OlderHighs)
 
     def test_an_option_older_highs_lacks_is_dropped_silently(self, monkeypatch):
-        self._older_highs(
-            monkeypatch, {"mip_heuristic_run_feasibility_jump": False}
-        )
+        self._older_highs(monkeypatch, "mip_heuristic_run_feasibility_jump")
         m, _ = knapsack_model([10, 13, 7], [5, 6, 4], 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -154,10 +144,41 @@ class TestScipyBackend:
         assert -sol.objective == pytest.approx(20.0)
 
     def test_any_other_dropped_option_still_warns(self, monkeypatch):
-        self._older_highs(monkeypatch, {"mip_feasibility_tolerance": 1e-9})
+        self._older_highs(monkeypatch, "mip_feasibility_tolerance")
         m, _ = knapsack_model([10, 13, 7], [5, 6, 4], 10)
         with pytest.warns(OptimizeWarning, match="mip_feasibility_tolerance"):
             solve_with_scipy(m)
+
+    @pytest.mark.parametrize(
+        "method, answer",
+        [
+            ("passModel", HighsStatus.kError),
+            ("run", HighsStatus.kError),
+            ("getModelStatus", HighsModelStatus.kModelError),
+            ("getModelStatus", HighsModelStatus.kUnboundedOrInfeasible),
+            ("getModelStatus", HighsModelStatus.kTimeLimit),
+        ],
+    )
+    def test_a_solve_that_proves_nothing_is_an_error(
+        self, monkeypatch, method, answer
+    ):
+        """Only kOptimal, kInfeasible and kUnbounded say something about
+        the model; scipy.optimize.milp read kModelError as infeasible."""
+        original = getattr(scipy_backend._Highs, method)
+
+        class Faulty(scipy_backend._Highs):
+            pass
+
+        def faulty(self, *args):
+            original(self, *args)
+            return answer
+
+        setattr(Faulty, method, faulty)
+        monkeypatch.setattr(scipy_backend, "_Highs", Faulty)
+        m, _ = knapsack_model([10, 13, 7], [5, 6, 4], 10)
+        sol = solve_with_scipy(m)
+        assert sol.status is SolveStatus.ERROR
+        assert math.isnan(sol.objective) and sol.values == []
 
 
 class TestBnbBackend:

@@ -1,9 +1,9 @@
 """The arrays the MILP resource manager hands to HiGHS, pinned by digest.
 
 ``fixtures/highs-inputs-v1.json`` holds one sha256 per model that
-:func:`scipy.optimize.milp` receives while ``milp`` + ``oracle`` replays
-the ``sim-vt-milp`` benchmark inputs (the VT group at
-``HarnessScale(16, 12, master_seed=0)``).  Equal arrays make equal
+:mod:`repro.milp.scipy_backend` passes to HiGHS while ``milp`` +
+``oracle`` replays the ``sim-vt-milp`` benchmark inputs (the VT group
+at ``HarnessScale(16, 12, master_seed=0)``).  Equal arrays make equal
 solves, so any refactor of how the model is built must leave every
 digest unchanged.  The fixture was written once, before the model
 builder was rewritten::
@@ -35,13 +35,26 @@ HIGHS_OPTIONS = {
     "mip_heuristic_run_feasibility_jump": False,
 }
 
+#: :data:`HIGHS_OPTIONS` as HiGHS's own ``setOptionValue`` takes them:
+#: presolve is the string ``"off"``, and console logging is off, as
+#: ``scipy.optimize.milp(options={"disp": False})`` always set it.
+HIGHS_FORM = {"log_to_console": False, **HIGHS_OPTIONS, "presolve": "off"}
+
+
+def typed(options: dict) -> dict:
+    """``options`` with each value's type: HiGHS reads ``False`` and
+    ``0.0`` as different option types, while Python compares them
+    equal."""
+    return {key: (type(value), value) for key, value in options.items()}
+
 
 def _floats(values, size: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, dtype=np.float64), (size,)) + 0.0
 
 
 def canonical_digest(c, constraints, bounds, integrality) -> str:
-    """sha256 of one ``milp`` call's arrays in a canonical form.
+    """sha256 of one model's arrays, given as :func:`scipy.optimize.milp`
+    takes them, in a canonical form.
 
     ``A`` becomes CSC with sorted indices and int64 index arrays, and
     every float array gets ``+ 0.0``, which folds ``-0.0`` into ``0.0``
@@ -80,6 +93,9 @@ def canonical_digest(c, constraints, bounds, integrality) -> str:
 
 def replay() -> tuple[list[str], list[dict]]:
     """Digests and options of every HiGHS call over the benchmark inputs."""
+    from scipy.optimize import Bounds, LinearConstraint
+    from scipy.sparse import csc_array
+
     from repro import simulate
     from repro.experiments.common import standard_platform, standard_traces
     from repro.experiments.config import HarnessScale
@@ -88,30 +104,48 @@ def replay() -> tuple[list[str], list[dict]]:
 
     digests: list[str] = []
     options: list[dict] = []
-    original = scipy_backend.milp
+    original = scipy_backend._Highs
 
-    def spy(c, **kwargs):
-        digests.append(
-            canonical_digest(
-                c,
-                kwargs["constraints"],
-                kwargs["bounds"],
-                kwargs["integrality"],
+    class Spy(original):
+        def __init__(self):
+            super().__init__()
+            options.append({})
+
+        def setOptionValue(self, key, value):
+            options[-1][key] = value
+            return super().setOptionValue(key, value)
+
+        def passModel(self, lp):
+            matrix = lp.a_matrix_
+            constraints = []
+            if lp.num_row_:
+                a = csc_array(
+                    (matrix.value_, matrix.index_, matrix.start_),
+                    shape=(lp.num_row_, lp.num_col_),
+                )
+                constraints.append(
+                    LinearConstraint(a, lp.row_lower_, lp.row_upper_)
+                )
+            digests.append(
+                canonical_digest(
+                    lp.col_cost_,
+                    constraints,
+                    Bounds(lp.col_lower_, lp.col_upper_),
+                    [int(kind) for kind in lp.integrality_],
+                )
             )
-        )
-        options.append(dict(kwargs["options"]))
-        return original(c, **kwargs)
+            return super().passModel(lp)
 
     platform = standard_platform()
     traces = standard_traces(
         DeadlineGroup.VT, HarnessScale(16, 12, master_seed=0)
     )
-    scipy_backend.milp = spy
+    scipy_backend._Highs = Spy
     try:
         for trace in traces:
             simulate(trace, platform, "milp", "oracle")
     finally:
-        scipy_backend.milp = original
+        scipy_backend._Highs = original
     return digests, options
 
 
@@ -127,7 +161,14 @@ def test_highs_sees_the_pinned_models():
         if got != want
     ]
     assert not mismatched, f"models whose HiGHS inputs changed: {mismatched}"
-    assert all(seen == HIGHS_OPTIONS for seen in options)
+    assert all(typed(seen) == typed(HIGHS_FORM) for seen in options)
+
+
+def test_backend_sets_the_contract_options():
+    from repro.milp import scipy_backend
+
+    assert typed(dict(scipy_backend._OPTIONS)) == typed(HIGHS_FORM)
+    assert scipy_backend._OPTIONS[0] == ("log_to_console", False)
 
 
 if __name__ == "__main__":

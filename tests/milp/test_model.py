@@ -87,6 +87,60 @@ class TestModelBuilding:
         assert arrays.integrality.tolist() == [0, 1]
 
 
+class TestNonFiniteNumbers:
+    """A NaN bound or a non-finite coefficient never reaches HiGHS, which
+    would read a NaN bound as infeasible (rejecting the arrival) and a
+    NaN coefficient as an absent term.  Each raises on the solve,
+    naming the row or variable."""
+
+    @staticmethod
+    def model():
+        m = Model()
+        x = m.add_var("x", ub=4.0)
+        y = m.add_var("y", lb=-math.inf)
+        m.add_row([x, y], [1.0, 1.0], lo=-math.inf, hi=5.0, name="cap")
+        m.add_row([y], [1.0], lo=-1.0, name="floor")
+        m.minimize({x: -1.0, y: 1.0})
+        return m, x, y
+
+    def test_infinite_bounds_solve(self):
+        m, _, _ = self.model()
+        assert m.solve().status is SolveStatus.OPTIMAL
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_nan_row_bound(self, side):
+        m, x, _ = self.model()
+        m.add_row([x], [1.0], **{side: math.nan}, name="deadline")
+        with pytest.raises(ValueError, match="row 'deadline': NaN bound"):
+            m.solve()
+
+    @pytest.mark.parametrize("side", ["lb", "ub"])
+    def test_nan_variable_bound(self, side):
+        m, x, _ = self.model()
+        z = m.add_var("z", **{side: math.nan})
+        m.add_row([x, z], [1.0, 1.0], hi=3.0)
+        with pytest.raises(ValueError, match="variable 'z': NaN bound"):
+            m.solve()
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_coefficient(self, coeff):
+        m, x, y = self.model()
+        m.add_row([x, y], [1.0, coeff], hi=2.0, name="finish")
+        with pytest.raises(
+            ValueError, match="row 'finish': non-finite coefficient"
+        ):
+            m.solve()
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf])
+    def test_non_finite_objective(self, coeff):
+        m, x, y = self.model()
+        m.minimize({x: -1.0, y: coeff})
+        with pytest.raises(
+            ValueError, match="variable 'y': non-finite objective"
+        ):
+            m.solve()
+
+
 class TestSolve:
     def test_empty_model(self):
         sol = Model().solve()

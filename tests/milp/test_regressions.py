@@ -240,6 +240,22 @@ class TestUnprovenSolveIsNotAReject:
         with pytest.raises(MilpValidationError, match=f"{status}.*t=7.5"):
             MilpResourceManager().solve(self.context())
 
+    def test_a_model_highs_refuses_raises(self, monkeypatch):
+        """scipy.optimize.milp reported a model HiGHS refused to load
+        (kModelError) as infeasible, which rejected the arrival."""
+        from scipy.optimize._highspy._core import HighsStatus
+
+        from repro.core.milp_rm import MilpResourceManager, MilpValidationError
+        from repro.milp import scipy_backend
+
+        class Refusing(scipy_backend._Highs):
+            def passModel(self, lp):
+                return HighsStatus.kError
+
+        monkeypatch.setattr(scipy_backend, "_Highs", Refusing)
+        with pytest.raises(MilpValidationError, match="ERROR.*t=7.5"):
+            MilpResourceManager().solve(self.context())
+
     @pytest.mark.parametrize("status", ["ERROR", "UNBOUNDED"])
     def test_watchdog_falls_back(self, monkeypatch, status):
         from repro.core.heuristic import HeuristicResourceManager
