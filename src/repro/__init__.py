@@ -74,9 +74,7 @@ from repro.obs import (
     SimEvent,
     TraceOptions,
     Tracer,
-    chrome_trace,
     event_stream_digest,
-    events_to_jsonl,
     write_chrome_trace,
     write_events_jsonl,
 )
@@ -90,8 +88,6 @@ from repro.predict import (
     evaluate_predictor,
 )
 from repro.registry import (
-    register_predictor,
-    register_strategy,
     resolve_predictor,
     resolve_strategy,
 )
@@ -165,8 +161,6 @@ __all__ = [
     # registry
     "resolve_strategy",
     "resolve_predictor",
-    "register_strategy",
-    "register_predictor",
     # serve
     "WallClock",
     "AdmissionServer",
@@ -197,10 +191,8 @@ __all__ = [
     "TraceOptions",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "events_to_jsonl",
     "event_stream_digest",
     "write_events_jsonl",
-    "chrome_trace",
     "write_chrome_trace",
 ]
 

@@ -32,7 +32,7 @@ from repro.experiments.fig2_rejection import (
     render_fig2,
     run_prediction_impact,
 )
-from repro.experiments.fig3_energy import energy_follows_acceptance, render_fig3
+from repro.experiments.fig3_energy import render_fig3
 from repro.experiments.fig4_accuracy import (
     DEFAULT_ACCURACY_LEVELS,
     AccuracySweepResult,
@@ -44,7 +44,6 @@ from repro.experiments.fig4_frontier import (
     DRIFT_SCENARIOS,
     FrontierCell,
     FrontierResult,
-    drift_plan,
     frontier_csv,
     render_fig4_frontier,
     run_frontier,
@@ -91,7 +90,6 @@ __all__ = [
     "PredictionImpactResult",
     "render_fig2",
     "render_fig3",
-    "energy_follows_acceptance",
     "run_accuracy_sweep",
     "AccuracySweepResult",
     "DEFAULT_ACCURACY_LEVELS",
@@ -101,7 +99,6 @@ __all__ = [
     "FrontierResult",
     "DEFAULT_FRONTIER_PREDICTORS",
     "DRIFT_SCENARIOS",
-    "drift_plan",
     "frontier_csv",
     "write_frontier_csv",
     "render_fig4_frontier",

@@ -16,7 +16,6 @@ a checkpointed run resumes the same way on either path.
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import statistics
@@ -208,23 +207,6 @@ class Aggregate:
     def total_solver_calls(self) -> int:
         """Sum of strategy invocations across all cells."""
         return sum(stats.solver_calls for stats in self.cell_stats)
-
-    def _wall_time_percentile(self, fraction: float) -> float:
-        walls = sorted(stats.wall_time for stats in self.cell_stats)
-        if not walls:
-            return 0.0
-        rank = min(len(walls), max(1, math.ceil(fraction * len(walls))))
-        return walls[rank - 1]
-
-    @property
-    def wall_time_p50(self) -> float:
-        """Median per-cell wall time (nearest-rank, 0.0 with no cells)."""
-        return self._wall_time_percentile(0.50)
-
-    @property
-    def wall_time_p95(self) -> float:
-        """95th-percentile per-cell wall time (nearest-rank)."""
-        return self._wall_time_percentile(0.95)
 
     @property
     def n_verified(self) -> int:

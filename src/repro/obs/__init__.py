@@ -24,11 +24,8 @@ from repro.obs.events import (
     monotonic_now,
 )
 from repro.obs.export import (
-    chrome_trace,
     event_stream_digest,
-    events_to_jsonl,
     render_metrics,
-    validate_chrome_trace,
     write_chrome_trace,
     write_events_jsonl,
 )
@@ -55,11 +52,8 @@ __all__ = [
     "HistogramSnapshot",
     "VOLATILE_METRIC_PREFIX",
     # export
-    "events_to_jsonl",
     "event_stream_digest",
     "write_events_jsonl",
-    "chrome_trace",
     "write_chrome_trace",
-    "validate_chrome_trace",
     "render_metrics",
 ]

@@ -25,7 +25,7 @@ expected request.  This package provides:
 """
 
 from repro.predict.base import NullPredictor, OnlinePredictor, Predictor
-from repro.predict.drift import DriftingPredictor, PageHinkley, WindowedNrmse
+from repro.predict.drift import DriftingPredictor
 from repro.predict.interarrival import (
     ArInterarrival,
     EwmaInterarrival,
@@ -33,12 +33,9 @@ from repro.predict.interarrival import (
     MeanInterarrival,
     SeasonalInterarrival,
     TwoPhaseInterarrival,
-    fit_ar_coefficients,
 )
 from repro.predict.markov import (
     ComposedPredictor,
-    MarkovTypePredictor,
-    NGramTypePredictor,
     make_ar_predictor,
     make_seasonal_predictor,
 )
@@ -59,8 +56,6 @@ __all__ = [
     "OraclePredictor",
     "TypeNoisePredictor",
     "ArrivalNoisePredictor",
-    "MarkovTypePredictor",
-    "NGramTypePredictor",
     "ComposedPredictor",
     "make_ar_predictor",
     "make_seasonal_predictor",
@@ -71,9 +66,6 @@ __all__ = [
     "ArInterarrival",
     "SeasonalInterarrival",
     "DriftingPredictor",
-    "PageHinkley",
-    "WindowedNrmse",
-    "fit_ar_coefficients",
     "ScriptedPredictor",
     "PredictionReport",
     "evaluate_predictor",

@@ -29,7 +29,6 @@ from repro.predict.interarrival import (
 
 __all__ = [
     "MarkovTypePredictor",
-    "NGramTypePredictor",
     "ComposedPredictor",
     "make_ar_predictor",
     "make_seasonal_predictor",
@@ -90,64 +89,16 @@ class MarkovTypePredictor:
         return None
 
 
-class NGramTypePredictor:
-    """Order-``k`` type model with back-off.
-
-    Keeps successor counts for every context length from ``k`` down to 1
-    and predicts from the longest context that has been observed —
-    longer motifs beat a first-order chain on streams with repeating
-    patterns longer than a single transition (e.g. ``A B A C``: after
-    ``A`` alone the successor is ambiguous, after ``B A`` it is not).
-    """
-
-    def __init__(self, order: int = 3) -> None:
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
-        self.order = order
-        self._tables: list[dict[tuple[int, ...], collections.Counter]] = [
-            {} for _ in range(order)
-        ]
-        self._frequency: collections.Counter = collections.Counter()
-        self._recent: collections.deque[int] = collections.deque(maxlen=order)
-
-    def reset(self) -> None:
-        for table in self._tables:
-            table.clear()
-        self._frequency.clear()
-        self._recent.clear()
-
-    def update(self, type_id: int) -> None:
-        history = tuple(self._recent)
-        for length in range(1, min(len(history), self.order) + 1):
-            key = history[-length:]
-            self._tables[length - 1].setdefault(
-                key, collections.Counter()
-            )[type_id] += 1
-        self._frequency[type_id] += 1
-        self._recent.append(type_id)
-
-    def forecast(self) -> int | None:
-        history = tuple(self._recent)
-        for length in range(min(len(history), self.order), 0, -1):
-            successors = self._tables[length - 1].get(history[-length:])
-            if successors:
-                return min(successors, key=lambda t: (-successors[t], t))
-        if self._frequency:
-            return min(self._frequency, key=lambda t: (-self._frequency[t], t))
-        return None
-
-
 class ComposedPredictor(OnlinePredictor):
     """A full next-request predictor from online type + gap models.
+
+    Task types come from a :class:`MarkovTypePredictor` (first-order
+    chain).
 
     Parameters
     ----------
     interarrival:
         The gap model (two-phase by default).
-    type_model:
-        The type model: anything with ``update(type_id)``, ``forecast()``
-        and ``reset()`` (first-order Markov by default; see
-        :class:`NGramTypePredictor` for longer contexts).
     warmup:
         Minimum number of observed requests before forecasting; below
         it the predictor abstains (returns ``None``), which the RM
@@ -160,14 +111,13 @@ class ComposedPredictor(OnlinePredictor):
         self,
         interarrival: InterarrivalModel | None = None,
         *,
-        type_model=None,
         warmup: int = 5,
     ) -> None:
         super().__init__()
         if warmup < 1:
             raise ValueError(f"warmup must be >= 1, got {warmup}")
         self.warmup = warmup
-        self._type_model = type_model or MarkovTypePredictor()
+        self._type_model = MarkovTypePredictor()
         self._gap_model = interarrival or TwoPhaseInterarrival()
         self._deadline_sum: collections.Counter = collections.Counter()
         self._deadline_count: collections.Counter = collections.Counter()

@@ -1,19 +1,17 @@
 """The single source of truth for strategy and predictor names.
 
-Both the CLI and the experiment harness historically kept their own
-name -> constructor tables; this module unifies them so that
+The CLI, the experiment harness and ``simulate`` all resolve names
+through the two fixed tables here (:data:`STRATEGIES`,
+:data:`PREDICTORS`), so that
 
 * ``resolve_strategy("milp")`` / ``resolve_predictor("type-noise",
-  accuracy=0.75)`` build fresh instances anywhere in the library,
+  accuracy=0.75)`` build fresh instances anywhere in the library, and
 * :func:`strategy_factory` / :func:`predictor_factory` return *picklable*
   zero-argument factories — the property a pooled
   :func:`~repro.experiments.runner.run_matrix` relies on to ship cells
   to worker processes (closures and lambdas do not pickle; by-name
-  factories do), and
-* downstream code can :func:`register_strategy` /
-  :func:`register_predictor` its own implementations and have them
-  usable from :class:`~repro.experiments.runner.RunSpec`, ``simulate``
-  and the CLI alike.
+  factories do).  A worker re-resolves a name against the same fixed
+  tables under every multiprocessing start method.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ __all__ = [
     "StrategyFactory",
     "predictor_factory",
     "predictor_names",
-    "register_predictor",
-    "register_strategy",
     "resolve_predictor",
     "resolve_strategy",
     "strategy_factory",
@@ -86,34 +82,6 @@ def strategy_names() -> list[str]:
 def predictor_names() -> list[str]:
     """All registered predictor names, sorted."""
     return sorted(_PREDICTORS)
-
-
-def register_strategy(
-    name: str,
-    constructor: Callable[..., MappingStrategy],
-    *,
-    overwrite: bool = False,
-) -> None:
-    """Add a strategy constructor to the registry.
-
-    Raises :class:`ValueError` if ``name`` is taken and ``overwrite`` is
-    not set.
-    """
-    if name in _STRATEGIES and not overwrite:
-        raise ValueError(f"strategy {name!r} is already registered")
-    _STRATEGIES[name] = constructor
-
-
-def register_predictor(
-    name: str,
-    constructor: Callable[..., Predictor],
-    *,
-    overwrite: bool = False,
-) -> None:
-    """Add a predictor constructor to the registry."""
-    if name in _PREDICTORS and not overwrite:
-        raise ValueError(f"predictor {name!r} is already registered")
-    _PREDICTORS[name] = constructor
 
 
 def resolve_strategy(name: str, **kwargs: Any) -> MappingStrategy:

@@ -38,7 +38,6 @@ from repro.serve.server import (
     AdmissionServer,
     RecoveryReport,
     ServeConfig,
-    recover_engine,
 )
 from repro.serve.smoke import SmokeReport, run_smoke
 
@@ -62,7 +61,6 @@ __all__ = [
     "WallClock",
     "decode_frame",
     "encode_frame",
-    "recover_engine",
     "run_chaos",
     "run_smoke",
     "service_fingerprint",

@@ -293,10 +293,6 @@ class AdmissionJournal(Journal):
             self._pending.popleft()
         return True
 
-    def flush_pending(self) -> bool:
-        """Best-effort drain of queued records (shutdown path)."""
-        return self._drain_pending()
-
     def _write(self, record: dict) -> None:
         if self.fault_hook is not None and self.fault_hook(record):
             raise OSError("injected journal fault")

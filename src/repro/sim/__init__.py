@@ -12,7 +12,7 @@ the structured event stream and metrics snapshot of :mod:`repro.obs`
 """
 
 from repro.obs.events import TraceOptions
-from repro.sim.gantt import merge_spans, render_gantt
+from repro.sim.gantt import render_gantt
 from repro.sim.result import ActivationRecord, SimulationResult
 from repro.sim.simulator import SimulationConfig, Simulator, simulate
 from repro.sim.state import (
@@ -33,6 +33,5 @@ __all__ = [
     "SimulationError",
     "ExecutionSpan",
     "render_gantt",
-    "merge_spans",
     "TraceOptions",
 ]

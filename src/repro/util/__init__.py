@@ -9,7 +9,6 @@ sits on the import path of every entry point, the live server included.
 from repro.util.rng import RngStreams, derive_seed
 from repro.util.tables import ascii_bar_chart, ascii_table, format_float
 from repro.util.validation import (
-    check_finite,
     check_in_range,
     check_non_negative,
     check_positive,
@@ -24,5 +23,4 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_in_range",
-    "check_finite",
 ]

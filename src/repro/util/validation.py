@@ -6,14 +6,12 @@ constructors across the library validate consistently.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 __all__ = [
     "check_positive",
     "check_non_negative",
     "check_in_range",
-    "check_finite",
     "check_probability",
     "check_non_empty",
 ]
@@ -50,13 +48,6 @@ def check_in_range(
         bounds = f"({low}, {high})"
     if not ok:
         raise ValueError(f"{name} must be in {bounds}, got {value!r}")
-    return value
-
-
-def check_finite(name: str, value: float) -> float:
-    """Require a finite float (no NaN/inf)."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 

@@ -8,8 +8,8 @@ Implements Sec. 5.1 of the paper:
   :func:`~repro.workload.tracegen.generate_trace_group` — request streams
   with Gaussian inter-arrival times and VT (very tight) or LT (less tight)
   deadlines;
-* :class:`~repro.workload.trace.Trace` — a task set plus request stream,
-  with JSON round-tripping;
+* :class:`~repro.workload.trace.Trace` — a task set plus request stream;
+  its JSON form (``save``/``load``) is the one trace interchange format;
 * :mod:`~repro.workload.patterns` — synthetic streams with learnable
   structure (repeating type motifs, bursty arrivals) used to exercise the
   online predictors of :mod:`repro.predict`.
@@ -24,18 +24,8 @@ from repro.workload.tracegen import (
     generate_trace_group,
 )
 from repro.workload.patterns import PatternConfig, generate_pattern_trace
-from repro.workload.io import (
-    ClusterEventSchema,
-    export_requests_csv,
-    import_cluster_events,
-    import_requests_csv,
-)
 
 __all__ = [
-    "export_requests_csv",
-    "import_requests_csv",
-    "ClusterEventSchema",
-    "import_cluster_events",
     "TaskSetConfig",
     "generate_task_set",
     "Trace",

@@ -183,7 +183,7 @@ class TestObsSmoke:
         assert "counters:" in out
 
     def test_exports_are_created_and_valid(self, trace_file, tmp_path):
-        from repro.obs import validate_chrome_trace
+        from repro.obs.export import validate_chrome_trace
 
         chrome = tmp_path / "chrome.json"
         jsonl = tmp_path / "events.jsonl"

@@ -10,15 +10,13 @@ import numpy as np
 import pytest
 
 from repro.model.platform import Platform
-from repro.obs import (
-    CollectingTracer,
-    TraceOptions,
-    event_stream_digest,
+from repro.obs import CollectingTracer, TraceOptions, event_stream_digest
+from repro.obs.events import NULL_TRACER
+from repro.obs.export import (
+    chrome_trace,
     events_to_jsonl,
     validate_chrome_trace,
 )
-from repro.obs.events import NULL_TRACER
-from repro.obs.export import chrome_trace
 from repro.predict.base import Predictor
 from repro.registry import resolve_predictor, resolve_strategy
 from repro.sim.simulator import SimulationConfig, Simulator, simulate

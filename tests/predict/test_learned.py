@@ -179,74 +179,3 @@ class TestComposedPredictor:
         with pytest.raises(ValueError):
             ComposedPredictor(warmup=0)
 
-
-class TestNGramTypePredictor:
-    def test_order_validation(self):
-        from repro.predict.markov import NGramTypePredictor
-
-        with pytest.raises(ValueError):
-            NGramTypePredictor(order=0)
-
-    @staticmethod
-    def _score(model, stream):
-        hits = total = 0
-        for position, nxt in enumerate(stream):
-            forecast = model.forecast()
-            if position > 0 and forecast is not None:
-                total += 1
-                hits += forecast == nxt
-            model.update(nxt)
-        return hits / total if total else 0.0
-
-    def test_longer_context_disambiguates(self):
-        """Stream A B A C repeating: after 'A' alone the successor
-        alternates, so a first-order chain is capped near 50% on those
-        steps, while an order-2 model learns the motif exactly."""
-        from repro.predict.markov import (
-            MarkovTypePredictor,
-            NGramTypePredictor,
-        )
-
-        stream = [0, 1, 0, 2] * 12  # A=0, B=1, C=2
-        ngram_score = self._score(NGramTypePredictor(order=2), stream)
-        markov_score = self._score(MarkovTypePredictor(), stream)
-        assert ngram_score > 0.9
-        assert markov_score < 0.8
-        assert ngram_score > markov_score
-
-    def test_backoff_to_frequency(self):
-        from repro.predict.markov import NGramTypePredictor
-
-        model = NGramTypePredictor(order=3)
-        model.update(4)
-        assert model.forecast() in (4,)  # only frequency info available
-
-    def test_reset(self):
-        from repro.predict.markov import NGramTypePredictor
-
-        model = NGramTypePredictor(order=2)
-        for t in (1, 2, 1, 2):
-            model.update(t)
-        model.reset()
-        assert model.forecast() is None
-
-    def test_composed_with_ngram(self, pattern_trace=None):
-        from repro.predict.markov import ComposedPredictor, NGramTypePredictor
-        from repro.predict.metrics import evaluate_predictor
-        from repro.workload.patterns import PatternConfig, generate_pattern_trace
-        from repro.workload.taskgen import TaskSetConfig, generate_task_set
-        from repro.model.platform import Platform
-
-        platform = Platform.cpu_gpu(5, 1)
-        tasks = generate_task_set(
-            platform, TaskSetConfig(n_tasks=20), rng=np.random.default_rng(3)
-        )
-        trace = generate_pattern_trace(
-            tasks,
-            PatternConfig(n_requests=300, motif_length=6,
-                          type_mutation_prob=0.05),
-            rng=np.random.default_rng(4),
-        )
-        ngram = ComposedPredictor(type_model=NGramTypePredictor(order=3))
-        report = evaluate_predictor(ngram, trace)
-        assert report.type_accuracy > 0.8

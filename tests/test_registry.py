@@ -10,14 +10,11 @@ from repro.core.heuristic import HeuristicResourceManager
 from repro.core.milp_rm import MilpResourceManager
 from repro.predict.base import NullPredictor
 from repro.predict.noisy import TypeNoisePredictor
-from repro.predict.oracle import OraclePredictor
 from repro.registry import (
     PREDICTORS,
     STRATEGIES,
     predictor_factory,
     predictor_names,
-    register_predictor,
-    register_strategy,
     resolve_predictor,
     resolve_strategy,
     strategy_factory,
@@ -109,33 +106,6 @@ class TestFactories:
 
 
 class TestRegistration:
-    def test_register_and_resolve_strategy(self):
-        register_strategy("custom-h", HeuristicResourceManager)
-        try:
-            assert isinstance(
-                resolve_strategy("custom-h"), HeuristicResourceManager
-            )
-            assert "custom-h" in strategy_names()
-        finally:
-            # Cleanup through the private table; the public view is
-            # read-only by design.
-            from repro import registry
-
-            registry._STRATEGIES.pop("custom-h", None)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_strategy("heuristic", HeuristicResourceManager)
-        with pytest.raises(ValueError, match="already registered"):
-            register_predictor("oracle", OraclePredictor)
-
-    def test_overwrite_allowed(self):
-        from repro import registry
-
-        original = registry._PREDICTORS["oracle"]
-        register_predictor("oracle", OraclePredictor, overwrite=True)
-        assert registry._PREDICTORS["oracle"] is original
-
     def test_public_views_are_read_only(self):
         with pytest.raises(TypeError):
             STRATEGIES["hacked"] = HeuristicResourceManager  # type: ignore[index]

@@ -1,11 +1,8 @@
 """Tests for argument-validation helpers."""
 
-import math
-
 import pytest
 
 from repro.util.validation import (
-    check_finite,
     check_in_range,
     check_non_empty,
     check_non_negative,
@@ -49,16 +46,6 @@ class TestCheckInRange:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[1.*2.*\]"):
             check_in_range("x", 3.0, 1.0, 2.0)
-
-
-class TestCheckFinite:
-    def test_accepts_finite(self):
-        assert check_finite("x", -1e300) == -1e300
-
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_rejects_non_finite(self, value):
-        with pytest.raises(ValueError):
-            check_finite("x", value)
 
 
 class TestCheckProbability:

@@ -1,4 +1,4 @@
-"""Negative-path tests for workload I/O.
+"""Negative-path tests for the trace JSON loader.
 
 Truncated or corrupted trace files, out-of-range fields, and duplicate
 request times must surface as structured :class:`TraceFormatError`s with
@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.workload.io import export_requests_csv, import_requests_csv
 from repro.workload.trace import Trace, TraceFormatError
 from tests.conftest import make_task, make_trace
 
@@ -122,59 +121,3 @@ class TestFromDict:
         # callers with pre-existing `except ValueError` keep working
         assert issubclass(TraceFormatError, ValueError)
 
-
-class TestCsvImport:
-    def test_wrong_header(self, trace, tmp_path):
-        path = tmp_path / "requests.csv"
-        path.write_text("a,b,c,d\n0,0.0,0,50.0\n")
-        with pytest.raises(TraceFormatError, match="unexpected CSV header"):
-            import_requests_csv(path, list(trace.tasks))
-
-    def test_truncated_row_reports_line_number(self, trace, tmp_path):
-        path = tmp_path / "requests.csv"
-        export_requests_csv(trace, path)
-        with open(path, "a") as handle:
-            handle.write("3,12.0\n")  # torn final row
-        with pytest.raises(TraceFormatError, match=r"5: expected 4 columns"):
-            import_requests_csv(path, list(trace.tasks))
-
-    def test_unparsable_field_reports_line_number(self, trace, tmp_path):
-        path = tmp_path / "requests.csv"
-        path.write_text(
-            "index,arrival,type_id,deadline\n"
-            "0,0.0,0,50.0\n"
-            "1,five,0,40.0\n"
-        )
-        with pytest.raises(TraceFormatError, match=r"3: "):
-            import_requests_csv(path, list(trace.tasks))
-
-    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
-    @pytest.mark.parametrize("column", ["arrival", "deadline"])
-    def test_non_finite_field_reports_line_number(
-        self, trace, tmp_path, column, value
-    ):
-        row = {"arrival": "5.0", "deadline": "40.0", column: value}
-        path = tmp_path / "requests.csv"
-        path.write_text(
-            "index,arrival,type_id,deadline\n"
-            "0,0.0,0,50.0\n"
-            f"1,{row['arrival']},0,{row['deadline']}\n"
-        )
-        with pytest.raises(
-            TraceFormatError, match=rf"requests.csv:3: {column} must be finite"
-        ):
-            import_requests_csv(path, list(trace.tasks))
-
-    def test_out_of_range_type_wrapped_with_path(self, trace, tmp_path):
-        path = tmp_path / "requests.csv"
-        path.write_text(
-            "index,arrival,type_id,deadline\n0,0.0,7,50.0\n"
-        )
-        with pytest.raises(TraceFormatError, match="unknown task type"):
-            import_requests_csv(path, list(trace.tasks))
-
-    def test_round_trip_still_works(self, trace, tmp_path):
-        path = tmp_path / "requests.csv"
-        export_requests_csv(trace, path)
-        loaded = import_requests_csv(path, list(trace.tasks))
-        assert [r.arrival for r in loaded] == [r.arrival for r in trace]

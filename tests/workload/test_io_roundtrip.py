@@ -1,11 +1,11 @@
-"""Property tests: workload I/O round-trips are *exact*.
+"""Property tests: the trace JSON round-trip is *exact*.
 
-A trace that survives JSON (``to_dict``/``from_dict``) or CSV
-(``export_requests_csv``/``import_requests_csv``) must come back equal
-float-for-float — ``load(dump(t)) == t`` with :class:`Trace` structural
-equality, not merely approximately.  Both formats write ``repr``-style
-floats, which round-trip IEEE-754 doubles exactly, so the property
-holds for *arbitrary* finite values, not just the generator's outputs.
+A trace that survives JSON (``to_dict``/``from_dict``) must come back
+equal float-for-float — ``load(dump(t)) == t`` with :class:`Trace`
+structural equality, not merely approximately.  JSON writes
+``repr``-style floats, which round-trip IEEE-754 doubles exactly, so
+the property holds for *arbitrary* finite values, not just the
+generator's outputs.
 """
 
 import json
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.model.platform import Platform
 from repro.model.request import Request
 from repro.model.task import NOT_EXECUTABLE, TaskType
-from repro.workload.io import export_requests_csv, import_requests_csv
 from repro.workload.taskgen import TaskSetConfig, generate_task_set
 from repro.workload.trace import Trace
 from repro.workload.tracegen import DeadlineGroup, TraceConfig, generate_trace
@@ -112,32 +111,9 @@ class TestJsonRoundTrip:
         assert loaded == trace
         assert math.isinf(loaded.tasks[0].wcet[1])
 
-
-class TestCsvRoundTrip:
-    @given(trace=_traces())
-    @settings(max_examples=40, deadline=None)
-    def test_requests_round_trip_is_exact(self, trace, tmp_path_factory):
-        path = tmp_path_factory.mktemp("csv") / "requests.csv"
-        export_requests_csv(trace, path)
-        loaded = import_requests_csv(path, list(trace.tasks), group=trace.group)
-        assert loaded.requests == trace.requests
-        assert loaded.group == trace.group
-
-    @given(trace=_traces())
-    @settings(max_examples=30, deadline=None)
-    def test_chained_json_csv_round_trip(self, trace, tmp_path_factory):
-        """JSON -> in-memory -> CSV -> in-memory keeps the stream exact."""
-        via_json = Trace.from_dict(trace.to_dict())
-        path = tmp_path_factory.mktemp("csv") / "requests.csv"
-        export_requests_csv(via_json, path)
-        via_csv = import_requests_csv(
-            path, list(trace.tasks), group=trace.group
-        )
-        assert via_csv.requests == trace.requests
-
     @given(seed=st.integers(min_value=0, max_value=2_000))
     @settings(max_examples=25, deadline=None)
-    def test_generator_output_round_trips(self, seed, tmp_path_factory):
+    def test_generator_output_round_trips(self, seed):
         """The same property on realistic generator-produced traces."""
         platform = Platform.cpu_gpu(3, 1)
         tasks = generate_task_set(
@@ -150,7 +126,4 @@ class TestCsvRoundTrip:
             seed=seed,
         )
         assert Trace.from_dict(trace.to_dict()) == trace
-        path = tmp_path_factory.mktemp("csv") / "requests.csv"
-        export_requests_csv(trace, path)
-        loaded = import_requests_csv(path, list(trace.tasks))
-        assert loaded.requests == trace.requests
+
